@@ -57,12 +57,6 @@ class TransferAmplitudeSet:
                 "in (cardinality, lexicographic) order"
             )
 
-    def total(self) -> complex:
-        return complex(sum(self.entries.values()))
-
-    def moduli(self) -> dict[tuple[int, ...], float]:
-        return {s: abs(a) for s, a in self.entries.items()}
-
 
 def transition_matrix(decomp: EigenDecomposition, t: float) -> AmplitudeMatrix:
     """Propagator matrix F(t) from a single-particle eigendecomposition."""

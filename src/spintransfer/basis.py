@@ -16,17 +16,7 @@ fermionic reordering sign of the underlying hopping model.)
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
-
-
-@dataclass(frozen=True)
-class BasisIndex:
-    """One basis state of an excitation-ordered block basis."""
-
-    excitations: int
-    occupied_sites: tuple[int, ...]
-    linear_index: int
 
 
 def subsets_by_excitation(n: int, include_empty: bool = True) -> list[tuple[int, ...]]:
@@ -39,14 +29,6 @@ def subsets_by_excitation(n: int, include_empty: bool = True) -> list[tuple[int,
     return out
 
 
-def block_basis(n: int) -> list[BasisIndex]:
-    """Full 2^n basis of an n-site block in the canonical ordering."""
-    return [
-        BasisIndex(excitations=len(s), occupied_sites=s, linear_index=i)
-        for i, s in enumerate(subsets_by_excitation(n))
-    ]
-
-
 def block_index(n: int) -> dict[tuple[int, ...], int]:
     """Map from occupied-site tuple to linear index for an n-site block."""
     return {s: i for i, s in enumerate(subsets_by_excitation(n))}
@@ -57,11 +39,6 @@ def excitation_sector(n_sites: int, k: int) -> list[tuple[int, ...]]:
     if not 0 <= k <= n_sites:
         raise ValueError(f"excitation number {k} out of range for {n_sites} sites")
     return list(combinations(range(1, n_sites + 1), k))
-
-
-def mirror_sites(sites: tuple[int, ...], n_total: int) -> tuple[int, ...]:
-    """Reflect a set of sites through the chain centre, returned ascending."""
-    return tuple(sorted(n_total + 1 - s for s in sites))
 
 
 def partner_sites(sites: tuple[int, ...], n_total: int, block: int) -> tuple[int, ...]:

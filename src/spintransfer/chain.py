@@ -63,8 +63,8 @@ class ChainSpec:
             raise ValueError(f"expected {N - 1} couplings, got {len(self.couplings)}")
         if len(self.fields) != N:
             raise ValueError(f"expected {N} fields, got {len(self.fields)}")
-        if not all(map(math.isfinite, self.couplings + self.fields)):
-            raise ValueError("couplings and fields must be finite")
+        if not all(map(math.isfinite, self.couplings + self.fields + (self.delta,))):
+            raise ValueError("couplings, fields and delta must be finite")
         if n < 1 or len(self.receiver_sites) != n:
             raise ValueError("sender and receiver blocks must be nonempty and equal-sized")
         if self.sender_sites != tuple(range(1, n + 1)):
@@ -238,8 +238,11 @@ def build_single_particle_hamiltonian(spec: ChainSpec) -> TridiagonalSymmetric:
 
 @lru_cache(maxsize=256)
 def spectral(spec: ChainSpec) -> EigenDecomposition:
-    """Eigenvalues and eigenvectors of the single-particle hopping matrix."""
-    return eig_tridiag(build_single_particle_hamiltonian(spec))
+    """Eigenvalues and eigenvectors of the single-particle hopping matrix (read-only, cached)."""
+    decomp = eig_tridiag(build_single_particle_hamiltonian(spec))
+    decomp.eigenvalues.flags.writeable = False
+    decomp.eigenvectors.flags.writeable = False
+    return decomp
 
 
 def engineered_sender_coupling(wire_length: int, k: int, s: int) -> float:

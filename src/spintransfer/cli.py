@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass, fields
 
@@ -34,7 +35,6 @@ from .errors import (
 from .fidelity import (
     FidelityStats,
     avg_fidelity_from_map,
-    coefficient_of_variation,
     independent_channels_fidelity,
     product_ratio_vs_amplitude,
     product_ratio_vs_fidelity,
@@ -42,8 +42,8 @@ from .fidelity import (
     second_moment_from_map,
     stats_from_map,
 )
-from .oracle import sample_fidelity_values
-from .protocol import fidelity_scan
+from .oracle import McResult, haar_sample_fidelity, sample_fidelity_values
+from .protocol import fidelity_scan, phase_aligned_fidelity
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -226,6 +226,8 @@ def cmd_scan(config: ExperimentConfig) -> int:
         raise ConfigError(f"--n {n} does not match the spec's block size {spec.block_size}")
     if config.tmax is not None:
         tmax = config.tmax
+        if not (math.isfinite(tmax) and tmax > 0):
+            raise ConfigError(f"--tmax must be finite and positive, got {tmax}")
     else:
         if n not in (3, 4):
             raise ConfigError("--tmax is required unless the block has 3 or 4 sites")
@@ -243,6 +245,8 @@ def cmd_scan(config: ExperimentConfig) -> int:
         columns.append("F_phase_aligned")
     envelope = scan.envelope if scan.envelope is not None else np.full(times.shape, np.nan)
     moduli = scan.amplitude_moduli()
+    if n == 1:
+        aligned = phase_aligned_fidelity(moduli[(1,)])
 
     def rows():
         for i, t in enumerate(times):
@@ -255,8 +259,7 @@ def cmd_scan(config: ExperimentConfig) -> int:
             ]
             row.extend(moduli[s][i] for s in scan.amplitudes)
             if n == 1:
-                f = next(iter(moduli.values()))[i]
-                row.append(0.5 + f**2 / 6.0 + f / 3.0)
+                row.append(aligned[i])
             yield row
 
     _emit_table(config, columns, rows())
@@ -319,31 +322,26 @@ def cmd_independent(config: ExperimentConfig) -> int:
                     r_F,
                     stats.variance,
                     product_state_variance(stats1, n),
-                    coefficient_of_variation(stats),
+                    stats.cv,
                 ]
             )
     _emit_table(config, columns, rows)
     return EXIT_OK
 
 
-def _mc_block(values: np.ndarray, mean_ref: float, m2_ref: float) -> dict:
-    mean = float(values.mean())
-    second = float((values**2).mean())
-    sem_mean = float(values.std() / np.sqrt(values.size))
-    sem_second = float((values**2).std() / np.sqrt(values.size))
-
+def _mc_block(result: McResult, mean_ref: float, m2_ref: float) -> dict:
     def z(diff: float, sem: float) -> float:
         if sem == 0.0:
             return 0.0 if abs(diff) < 1e-12 else float("inf")
         return abs(diff) / sem
 
     return {
-        "mean": mean,
-        "second_moment": second,
-        "sem_mean": sem_mean,
-        "sem_second_moment": sem_second,
-        "z_mean": z(mean - mean_ref, sem_mean),
-        "z_second_moment": z(second - m2_ref, sem_second),
+        "mean": result.mean,
+        "second_moment": result.second_moment,
+        "sem_mean": result.std_error_mean,
+        "sem_second_moment": result.std_error_second_moment,
+        "z_mean": z(result.mean - mean_ref, result.std_error_mean),
+        "z_second_moment": z(result.second_moment - m2_ref, result.std_error_second_moment),
     }
 
 
@@ -382,14 +380,14 @@ def cmd_montecarlo(config: ExperimentConfig) -> int:
     mean_ref = avg_fidelity_from_map(m)
     m2_ref = second_moment_from_map(m)
     evaluator = fidelity_evaluator(m)
-    haar_values = sample_fidelity_values(evaluator, m.d, samples, config.seed)
+    haar = haar_sample_fidelity(evaluator, m.d, samples, config.seed)
     report = {
         "map": description,
         "d": m.d,
         "samples": samples,
         "seed": config.seed,
         "analytic": {"mean": mean_ref, "second_moment": m2_ref},
-        "haar": _mc_block(haar_values, mean_ref, m2_ref),
+        "haar": _mc_block(haar, mean_ref, m2_ref),
     }
 
     if config.product:
@@ -401,7 +399,8 @@ def cmd_montecarlo(config: ExperimentConfig) -> int:
         prod_values = sample_fidelity_values(
             evaluator, m.d, samples, config.seed + 1, product_of=n_qubits
         )
-        report["product"] = _mc_block(prod_values, prod_mean, prod_m2)
+        prod = McResult.from_values(prod_values, config.seed + 1)
+        report["product"] = _mc_block(prod, prod_mean, prod_m2)
         report["product"]["analytic_mean"] = prod_mean
         report["product"]["analytic_second_moment"] = prod_m2
 

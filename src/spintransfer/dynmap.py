@@ -17,8 +17,8 @@ Physicality constraints in this convention:
     Choi matrix C[(n,i)][(m,j)] = conj(A[(i,j)][(n,m)]) positive semidefinite
 
 Sender-block bases are ordered by excitation number then lexicographically
-(see basis.block_basis); receiver patterns are relabelled by their positional
-partner sites, so a clean block transfer produces the identity map.
+(see basis.subsets_by_excitation); receiver patterns are relabelled by their
+positional partner sites, so a clean block transfer produces the identity map.
 """
 
 from __future__ import annotations
@@ -108,12 +108,16 @@ class CptpReport:
     failures: tuple[str, ...]
 
 
+def trace_deviation(m: DynamicalMap) -> float:
+    """Largest violation of trace preservation, sum_i A[(i,i)][(n,m)] = delta_nm."""
+    return float(np.max(np.abs(np.einsum("iinm->nm", m.as_tensor()) - np.eye(m.d))))
+
+
 def validate_cptp(m: DynamicalMap, tolerance: float = VALIDATION_TOL) -> CptpReport:
     """Check trace preservation, hermiticity pairing, diagonal bounds and Choi positivity."""
     d = m.d
     a = m.as_tensor()
-    partial = np.einsum("iinm->nm", a)
-    trace_dev = float(np.max(np.abs(partial - np.eye(d))))
+    trace_dev = trace_deviation(m)
     pairing_dev = float(np.max(np.abs(a - a.transpose(1, 0, 3, 2).conj())))
     diag = np.einsum("iinn->in", a).real
     diag_dev = float(max(np.max(diag) - 1.0, -np.min(diag), 0.0))
@@ -150,11 +154,9 @@ def choi_matrix(m: DynamicalMap) -> np.ndarray:
 
 def _check_constructed(m: DynamicalMap, what: str) -> DynamicalMap:
     a = m.as_tensor()
-    d = m.d
-    trace_dev = np.max(np.abs(np.einsum("iinm->nm", a) - np.eye(d)))
     pairing_dev = np.max(np.abs(a - a.transpose(1, 0, 3, 2).conj()))
-    worst = max(trace_dev, pairing_dev)
-    if d <= _CHOI_AUTOCHECK_MAX_D:
+    worst = max(trace_deviation(m), pairing_dev)
+    if m.d <= _CHOI_AUTOCHECK_MAX_D:
         choi = choi_matrix(m)
         worst = max(worst, -float(np.linalg.eigvalsh((choi + choi.conj().T) / 2.0)[0]))
     if worst > VALIDATION_TOL:

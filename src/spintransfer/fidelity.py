@@ -16,10 +16,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .amplitudes import TransferAmplitudeSet
-from .dynmap import DynamicalMap
+from .dynmap import VALIDATION_TOL, DynamicalMap, trace_deviation
 from .errors import MapValidationError
-
-_TRACE_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -44,11 +42,10 @@ class FidelityStats:
 
 
 def _validated_tensor(m: DynamicalMap) -> np.ndarray:
-    a = m.as_tensor()
-    dev = np.max(np.abs(np.einsum("iinm->nm", a) - np.eye(m.d)))
-    if dev > _TRACE_TOL:
+    dev = trace_deviation(m)
+    if dev > VALIDATION_TOL:
         raise MapValidationError(f"map is not trace preserving (violation {dev:.3e})")
-    return a
+    return m.as_tensor()
 
 
 def avg_fidelity_from_map(m: DynamicalMap) -> float:
@@ -119,26 +116,26 @@ class TransferFidelityTerms(NamedTuple):
     quantum: float
 
 
-def transfer_fidelity_terms(amps: TransferAmplitudeSet, d: int) -> TransferFidelityTerms:
-    """Decomposed average fidelity from the transfer amplitude set of an n-site block.
+def fidelity_terms(amplitudes, d: int) -> TransferFidelityTerms:
+    """Decomposed average fidelity from the amplitudes f_S^S of every nonempty subset S.
 
-    random_guess + classical reach the entanglement-free benchmark 2/(d+1)
-    when every transition probability is one; the quantum piece carries the
-    coherences and can add up to (d-1)/(d+1) on top.
+    Works elementwise, so each amplitude may be a number or a series over a
+    time grid.  random_guess + classical reach the entanglement-free
+    benchmark 2/(d+1) when every transition probability is one; the quantum
+    piece carries the coherences and can add up to (d-1)/(d+1) on top.
     """
-    n = amps.block_size
-    if d != 2**n:
-        raise ValueError(f"dimension {d} does not match block size {n}")
-    values = np.array(list(amps.entries.values()))
-    total = 1.0 / (d + 1) + abs(1.0 + values.sum()) ** 2 / (d * (d + 1))
+    amplitudes = list(amplitudes)
+    total = 1.0 / (d + 1) + np.abs(1.0 + sum(amplitudes)) ** 2 / (d * (d + 1))
     random_guess = 1.0 / d
-    classical = float(np.sum(np.abs(values) ** 2) / (d * (d + 1)))
-    return TransferFidelityTerms(
-        total=float(total),
-        random_guess=random_guess,
-        classical=classical,
-        quantum=float(total - random_guess - classical),
-    )
+    classical = sum(np.abs(f) ** 2 for f in amplitudes) / (d * (d + 1))
+    return TransferFidelityTerms(total, random_guess, classical, total - (random_guess + classical))
+
+
+def transfer_fidelity_terms(amps: TransferAmplitudeSet, d: int) -> TransferFidelityTerms:
+    """Decomposed average fidelity from the transfer amplitude set of an n-site block."""
+    if d != 2**amps.block_size:
+        raise ValueError(f"dimension {d} does not match block size {amps.block_size}")
+    return fidelity_terms(amps.entries.values(), d)
 
 
 def avg_fidelity_from_amplitudes(amps: TransferAmplitudeSet, d: int) -> float:
@@ -218,10 +215,3 @@ def product_state_variance(one_qubit_stats: FidelityStats, n: int) -> float:
     if n < 1:
         raise ValueError("need at least one channel")
     return float(one_qubit_stats.second_moment**n - one_qubit_stats.mean ** (2 * n))
-
-
-def coefficient_of_variation(stats: FidelityStats) -> float:
-    """Relative dispersion sigma / mean of a fidelity distribution."""
-    if stats.mean <= 0.0:
-        raise ValueError("coefficient of variation undefined for zero mean")
-    return math.sqrt(max(stats.second_moment / stats.mean**2 - 1.0, 0.0))

@@ -15,7 +15,6 @@ on that.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -53,7 +52,22 @@ class McResult:
     mean: float
     second_moment: float
     std_error_mean: float
+    std_error_second_moment: float
     seed: int
+
+    @classmethod
+    def from_values(cls, values: np.ndarray, seed: int) -> "McResult":
+        """Sample means of F and F^2 with their standard errors."""
+        squares = values**2
+        root_n = np.sqrt(values.size)
+        return cls(
+            samples=int(values.size),
+            mean=float(values.mean()),
+            second_moment=float(squares.mean()),
+            std_error_mean=float(values.std() / root_n),
+            std_error_second_moment=float(squares.std() / root_n),
+            seed=seed,
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -85,6 +99,8 @@ def _sector(spec: ChainSpec, k: int):
                 b = index[moved]
                 h[a, b] = h[b, a] = couplings[s - 1] / 2.0
     w, v = np.linalg.eigh(h)
+    for array in (h, w, v):
+        array.flags.writeable = False
     return basis, index, h, w, v
 
 
@@ -231,15 +247,6 @@ def sample_fidelity_values(
     return np.concatenate(chunks)
 
 
-def _result_from_values(values: np.ndarray, seed: int) -> McResult:
-    mean = float(np.mean(values))
-    second = float(np.mean(values**2))
-    sem = math.sqrt(max(second - mean**2, 0.0) / values.size)
-    return McResult(
-        samples=int(values.size), mean=mean, second_moment=second, std_error_mean=sem, seed=seed
-    )
-
-
 def haar_sample_fidelity(evaluator, d: int, samples: int, seed: int) -> McResult:
     """Estimate mean and second moment of a fidelity over Haar-random pure inputs.
 
@@ -247,11 +254,4 @@ def haar_sample_fidelity(evaluator, d: int, samples: int, seed: int) -> McResult
     fidelity of each; the generator state is PCG64 seeded as given, so results
     are reproducible bit for bit.
     """
-    values = sample_fidelity_values(evaluator, d, samples, seed)
-    return _result_from_values(values, seed)
-
-
-def haar_sample_product_states(evaluator, n: int, samples: int, seed: int) -> McResult:
-    """Same as haar_sample_fidelity but with inputs drawn qubit-by-qubit as product states."""
-    values = sample_fidelity_values(evaluator, 2**n, samples, seed, product_of=n)
-    return _result_from_values(values, seed)
+    return McResult.from_values(sample_fidelity_values(evaluator, d, samples, seed), seed)

@@ -14,16 +14,11 @@ from typing import Callable
 
 import numpy as np
 
-from .amplitudes import (
-    require_free_fermion,
-    transfer_amplitude_series,
-    transfer_amplitudes,
-    transition_matrix,
-)
+from .amplitudes import require_free_fermion, transfer_amplitude_series
 from .basis import subsets_by_excitation
 from .chain import ChainSpec, ResonanceReport, resonance_report, spectral
 from .errors import ResonanceError
-from .fidelity import transfer_fidelity_terms
+from .fidelity import fidelity_terms
 from .linalg import EigenDecomposition
 
 _SCAN_CHUNK = 1 << 14
@@ -48,21 +43,30 @@ def reduced_amplitude(
     return complex(np.sum(phases * decomp.eigenvectors[j - 1, ks] * decomp.eigenvectors[i - 1, ks]))
 
 
-def transfer_envelope(spec: ChainSpec, n: int, form: str = "sin4") -> Callable[[np.ndarray], np.ndarray]:
-    """Slow envelope of the transfer fidelity, peaking at t = tau = pi / delta_omega.
+def _optional_report(spec: ChainSpec, n: int) -> ResonanceReport | None:
+    """Resonance analysis of the chain, or None where the layout has none."""
+    if n in (3, 4) and spec.wire_length >= 1:
+        try:
+            return resonance_report(spec, n)
+        except (ValueError, ResonanceError):
+            pass
+    return None
 
-    `form` selects sin^4(delta_omega t / 2) (default) or the plain two-level
-    sin^2 profile; both peak at tau, they differ in the shoulder shape.
-    """
-    if form not in ("sin4", "sin2"):
-        raise ValueError(f"unknown envelope form {form!r}")
+
+def transfer_envelope(spec: ChainSpec, n: int) -> Callable[[np.ndarray], np.ndarray]:
+    """Slow envelope sin^4(delta_omega t / 2) of the transfer fidelity, peaking at t = tau."""
     delta_omega = resonance_report(spec, n).delta_omega
-    power = 4 if form == "sin4" else 2
 
     def envelope(t):
-        return np.sin(delta_omega * np.asarray(t) / 2.0) ** power
+        return np.sin(delta_omega * np.asarray(t) / 2.0) ** 4
 
     return envelope
+
+
+def phase_aligned_fidelity(f):
+    """Single-qubit average fidelity after aligning the receiver phase, so only |f| matters."""
+    f = np.abs(f)
+    return 0.5 + f**2 / 6.0 + f / 3.0
 
 
 @dataclass(frozen=True)
@@ -76,70 +80,48 @@ class FidelityScan:
     quantum_term: np.ndarray
     envelope: np.ndarray | None
     amplitudes: dict[tuple[int, ...], np.ndarray]
-    report: ResonanceReport | None
 
     def amplitude_moduli(self) -> dict[tuple[int, ...], np.ndarray]:
         return {s: np.abs(a) for s, a in self.amplitudes.items()}
 
 
-def _series_terms(amps: dict[tuple[int, ...], np.ndarray], d: int):
-    total = None
-    psum = None
-    for series in amps.values():
-        total = series.copy() if total is None else total + series
-        p = np.abs(series) ** 2
-        psum = p if psum is None else psum + p
-    fidelity = 1.0 / (d + 1) + np.abs(1.0 + total) ** 2 / (d * (d + 1))
-    classical = 1.0 / d + psum / (d * (d + 1))
-    return fidelity, classical, fidelity - classical
+def _amplitude_chunks(spec: ChainSpec, n: int, times: np.ndarray):
+    """Yield (start index, f_S^S series) over consecutive chunks of the time grid."""
+    require_free_fermion(spec)
+    decomp = spectral(spec)
+    for lo in range(0, times.size, _SCAN_CHUNK):
+        yield lo, transfer_amplitude_series(decomp, n, times[lo : lo + _SCAN_CHUNK])
 
 
 def scan_values(spec: ChainSpec, n: int, times: np.ndarray) -> np.ndarray:
     """Average transfer fidelity on a time grid (vectorised, chunked)."""
-    require_free_fermion(spec)
-    decomp = spectral(spec)
-    d = 2**n
     times = np.asarray(times, dtype=float)
     out = np.empty(times.shape, dtype=float)
-    for lo in range(0, times.size, _SCAN_CHUNK):
-        chunk = times[lo : lo + _SCAN_CHUNK]
-        amps = transfer_amplitude_series(decomp, n, chunk)
-        out[lo : lo + _SCAN_CHUNK] = _series_terms(amps, d)[0]
+    for lo, amps in _amplitude_chunks(spec, n, times):
+        out[lo : lo + _SCAN_CHUNK] = fidelity_terms(amps.values(), 2**n).total
     return out
 
 
 def fidelity_scan(spec: ChainSpec, n: int, t_grid) -> FidelityScan:
     """Scan the average transfer fidelity, its decomposition and all subset amplitudes."""
-    require_free_fermion(spec)
-    decomp = spectral(spec)
-    d = 2**n
     times = np.asarray(t_grid, dtype=float)
     subsets = subsets_by_excitation(n, include_empty=False)
     amps = {s: np.empty(times.shape, dtype=complex) for s in subsets}
-    for lo in range(0, times.size, _SCAN_CHUNK):
-        chunk = times[lo : lo + _SCAN_CHUNK]
-        part = transfer_amplitude_series(decomp, n, chunk)
-        for s in subsets:
-            amps[s][lo : lo + len(chunk)] = part[s]
-    fidelity, classical, quantum = _series_terms(amps, d)
-
-    report = None
+    for lo, part in _amplitude_chunks(spec, n, times):
+        for s, series in part.items():
+            amps[s][lo : lo + _SCAN_CHUNK] = series
+    terms = fidelity_terms(amps.values(), 2**n)
     envelope = None
-    if n in (3, 4) and spec.wire_length >= 1:
-        try:
-            report = resonance_report(spec, n)
-            envelope = np.sin(report.delta_omega * times / 2.0) ** 4
-        except (ValueError, ResonanceError):
-            report = None
+    if _optional_report(spec, n) is not None:
+        envelope = transfer_envelope(spec, n)(times)
     return FidelityScan(
         block_size=n,
         times=times,
-        fidelity=fidelity,
-        classical_term=classical,
-        quantum_term=quantum,
+        fidelity=terms.total,
+        classical_term=terms.random_guess + terms.classical,
+        quantum_term=terms.quantum,
         envelope=envelope,
         amplitudes=amps,
-        report=report,
     )
 
 
@@ -154,17 +136,6 @@ class ProtocolResult:
     times: np.ndarray
     fidelity: np.ndarray
     readout_times: np.ndarray = field(default_factory=lambda: np.empty(0))
-
-    @property
-    def time_series(self) -> tuple[np.ndarray, np.ndarray]:
-        return self.times, self.fidelity
-
-
-def _phase_aligned_values(spec: ChainSpec, times: np.ndarray) -> np.ndarray:
-    """Single-qubit average fidelity after aligning the receiver phase, so only |f| matters."""
-    series = transfer_amplitude_series(spectral(spec), 1, np.atleast_1d(times))[(1,)]
-    f = np.abs(series)
-    return 0.5 + f**2 / 6.0 + f / 3.0
 
 
 def find_optimal_time(
@@ -182,22 +153,14 @@ def find_optimal_time(
     of 1/J.  `phase_aligned` applies only to single-site blocks and scores
     |f| with the optimal receiver phase instead of the raw amplitude.
     """
-    require_free_fermion(spec)
     if phase_aligned and n != 1:
         raise ValueError("phase alignment is only defined for single-site blocks")
 
-    report = None
-    tau = None
     if window is None:
         report = resonance_report(spec, n)
-        tau = report.transfer_time
-        window = (0.0, 1.2 * tau)
-    elif n in (3, 4) and spec.wire_length >= 1:
-        try:
-            report = resonance_report(spec, n)
-            tau = report.transfer_time
-        except (ValueError, ResonanceError):
-            report = None
+        window = (0.0, 1.2 * report.transfer_time)
+    else:
+        report = _optional_report(spec, n)
     lo, hi = float(window[0]), float(window[1])
     if not hi > lo:
         raise ValueError(f"empty search window ({lo}, {hi})")
@@ -205,21 +168,18 @@ def find_optimal_time(
         coarse_points = int(np.ceil((hi - lo) / 0.2)) + 1
     coarse_points = max(coarse_points, 2)
 
-    times = np.linspace(lo, hi, coarse_points)
     if phase_aligned:
-        values = _phase_aligned_values(spec, times)
-
-        def objective(t: float) -> float:
-            return float(_phase_aligned_values(spec, np.array([t]))[0])
+        def evaluate(ts: np.ndarray) -> np.ndarray:
+            return phase_aligned_fidelity(fidelity_scan(spec, 1, ts).amplitudes[(1,)])
     else:
-        values = scan_values(spec, n, times)
-        decomp = spectral(spec)
-        d = 2**n
+        def evaluate(ts: np.ndarray) -> np.ndarray:
+            return scan_values(spec, n, ts)
 
-        def objective(t: float) -> float:
-            amps = transfer_amplitudes(transition_matrix(decomp, t), n)
-            return transfer_fidelity_terms(amps, d).total
+    def objective(t: float) -> float:
+        return float(evaluate(np.array([t]))[0])
 
+    times = np.linspace(lo, hi, coarse_points)
+    values = evaluate(times)
     best = int(np.argmax(values))
     spacing = times[1] - times[0]
 
@@ -240,13 +200,14 @@ def find_optimal_time(
     t_best = x1 if f1 >= f2 else x2
     f_best = max(f1, f2)
     if values[best] > f_best:  # keep the coarse point if refinement drifted off the peak
-        t_best, f_best = float(times[best]), float(values[best])
+        t_best = float(times[best])
+        f_best = objective(t_best)  # the 1-point path, so the result equals scan_values at t_best
 
     readout = times[values >= 0.99 * f_best]
     return ProtocolResult(
         optimal_time=float(t_best),
         fidelity_at_optimum=float(f_best),
-        envelope_period=tau,
+        envelope_period=None if report is None else report.transfer_time,
         cluster=report,
         times=times,
         fidelity=values,

@@ -114,6 +114,20 @@ def test_validation_failures():
                   receiver_sites=(4,), J0=0.5)
 
 
+@pytest.mark.parametrize("delta", [math.nan, math.inf, -math.inf])
+def test_non_finite_delta_rejected(delta):
+    with pytest.raises(ValueError, match="finite"):
+        ChainSpec.from_dict({**ChainSpec.uniform(6, n=2).to_dict(), "delta": delta})
+
+
+def test_cached_spectrum_is_read_only():
+    decomp = spectral(ChainSpec.uniform(7, n=2))
+    with pytest.raises(ValueError):
+        decomp.eigenvalues[0] = 0.0
+    with pytest.raises(ValueError):
+        decomp.eigenvectors[0, 0] = 0.0
+
+
 def test_empty_wire_allowed():
     spec = ChainSpec.uniform(2, n=1)
     assert spec.wire_length == 0

@@ -93,6 +93,13 @@ def test_scan_deterministic_output(weak15, tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+@pytest.mark.parametrize("tmax", ["nan", "inf", "0", "-5"])
+def test_scan_rejects_bad_tmax(weak15, tmp_path, tmax):
+    out = tmp_path / "scan.csv"
+    assert run(["scan", "--spec", weak15, "--tmax", tmax, "--grid", 5, "--out", out]) == 2
+    assert not out.exists()
+
+
 def test_scan_rejects_anisotropy(tmp_path):
     spec = ChainSpec.from_dict({**ChainSpec.uniform(6, n=2).to_dict(), "delta": 0.4})
     path = tmp_path / "aniso.json"

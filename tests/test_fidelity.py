@@ -22,7 +22,6 @@ from spintransfer.fidelity import (
     avg_fidelity_from_amplitudes,
     avg_fidelity_from_map,
     avg_fidelity_two_qubit,
-    coefficient_of_variation,
     independent_channels_fidelity,
     product_ratio_vs_amplitude,
     product_ratio_vs_fidelity,
@@ -229,10 +228,10 @@ def test_product_state_variance():
 
 def test_stats_and_cv():
     stats = FidelityStats.from_moments(0.5, 1.0 / 3.0)
-    assert coefficient_of_variation(stats) == pytest.approx(math.sqrt(1.0 / 3.0), abs=1e-12)
+    assert stats.cv == pytest.approx(math.sqrt(1.0 / 3.0), abs=1e-12)
     exact = FidelityStats.from_moments(1.0, 1.0)
     assert exact.variance == 0.0
-    assert coefficient_of_variation(exact) == 0.0
+    assert exact.cv == 0.0
     with pytest.raises(ValueError):
         FidelityStats.from_moments(0.0, 0.0)
     with pytest.raises(ValueError):

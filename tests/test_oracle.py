@@ -9,10 +9,11 @@ from spintransfer.dynmap import fidelity_evaluator, map_fidelity, map_from_evolu
 from spintransfer.errors import DimensionCapError
 from spintransfer.fidelity import avg_fidelity_from_map
 from spintransfer.oracle import (
+    McResult,
     PureState,
+    _sector,
     evolve_block,
     haar_sample_fidelity,
-    haar_sample_product_states,
     sample_fidelity_values,
     sector_hamiltonian,
     transfer_fidelity_exact,
@@ -51,6 +52,13 @@ def test_single_excitation_sector_ignores_anisotropy():
     a = evolve_block(base, state, 4.2, excitations=1)
     b = evolve_block(aniso, state, 4.2, excitations=1)
     assert np.allclose(a.amplitudes, b.amplitudes, atol=1e-12)
+
+
+def test_cached_sector_arrays_are_read_only():
+    _, _, h, w, v = _sector(ChainSpec.uniform(6, n=2), 2)
+    for array in (h, w, v):
+        with pytest.raises(ValueError):
+            array[0] = 0.0
 
 
 def test_norm_and_energy_conservation():
@@ -187,7 +195,7 @@ def test_sem_scales_as_inverse_sqrt_samples():
 def test_product_sampler_single_qubit_matches_haar():
     ev = fidelity_evaluator(one_qubit_map(0.7))
     full = haar_sample_fidelity(ev, 2, 100_000, seed=13)
-    prod = haar_sample_product_states(ev, 1, 100_000, seed=14)
+    prod = McResult.from_values(sample_fidelity_values(ev, 2, 100_000, 14, product_of=1), 14)
     sem = np.hypot(full.std_error_mean, prod.std_error_mean)
     assert abs(full.mean - prod.mean) <= 4 * sem
 
@@ -197,7 +205,9 @@ def test_product_sampler_mean_factorises():
 
     m = independent_channels_map(0.8, 2)
     single = avg_fidelity_from_map(one_qubit_map(0.8))
-    res = haar_sample_product_states(fidelity_evaluator(m), 2, 100_000, seed=3)
+    res = McResult.from_values(
+        sample_fidelity_values(fidelity_evaluator(m), 4, 100_000, 3, product_of=2), 3
+    )
     assert abs(res.mean - single**2) <= 4 * res.std_error_mean
 
 

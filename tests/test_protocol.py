@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from spintransfer.amplitudes import transfer_amplitudes, transition_matrix
-from spintransfer.chain import ChainSpec, resonance_report, spectral
+from spintransfer.chain import ChainSpec, engineered_sender_coupling, resonance_report, spectral
 from spintransfer.errors import FreeFermionError
 from spintransfer.fidelity import avg_fidelity_from_amplitudes
 from spintransfer.protocol import (
@@ -14,6 +14,9 @@ from spintransfer.protocol import (
 )
 
 WEAK_15 = ChainSpec.weak_coupling(wire_length=9, n=3, J0=0.01)
+ENG_18 = ChainSpec.weak_coupling(
+    wire_length=10, n=4, J0=0.01, sender_coupling=engineered_sender_coupling(10, k=2, s=1)
+)
 
 
 def test_full_cluster_reproduces_exact_amplitude():
@@ -60,11 +63,6 @@ def test_envelope_shape():
     tau = resonance_report(WEAK_15, 3).transfer_time
     assert env(0.0) == pytest.approx(0.0, abs=1e-12)
     assert env(tau) == pytest.approx(1.0, abs=1e-9)
-    env2 = transfer_envelope(WEAK_15, 3, form="sin2")
-    assert env2(tau) == pytest.approx(1.0, abs=1e-9)
-    assert env2(tau / 3) > env(tau / 3)  # sin^2 sits above sin^4 off the peak
-    with pytest.raises(ValueError):
-        transfer_envelope(WEAK_15, 3, form="cos")
 
 
 def test_scan_matches_per_time_route():
@@ -101,6 +99,17 @@ def test_partner_amplitudes_identical_in_scan():
     times = np.linspace(0.0, 500.0, 300)
     scan = fidelity_scan(WEAK_15, 3, times)
     assert np.max(np.abs(scan.amplitudes[(1,)] - scan.amplitudes[(3,)])) <= 1e-12
+
+
+@pytest.mark.parametrize("spec, window", [(WEAK_15, (0.995, 1.01)), (ENG_18, (0.935, 0.95))])
+def test_search_and_scans_share_one_pipeline(spec, window):
+    # Windows in units of tau, narrowed around each chain's optimum.
+    n = spec.block_size
+    tau = resonance_report(spec, n).transfer_time
+    res = find_optimal_time(spec, n, window=(window[0] * tau, window[1] * tau))
+    assert res.fidelity_at_optimum == scan_values(spec, n, [res.optimal_time])[0]
+    scan = fidelity_scan(spec, n, res.times)
+    assert np.array_equal(scan_values(spec, n, res.times), scan.fidelity)
 
 
 def test_single_qubit_swap_optimum():
