@@ -1,35 +1,12 @@
-"""Fidelity statistics for multi-qubit state transfer over spin-1/2 chains."""
+"""Fidelity statistics for multi-qubit state transfer over spin-1/2 chains.
 
-from .amplitudes import (
-    AmplitudeMatrix,
-    TransferAmplitudeSet,
-    chain_transition_matrix,
-    transfer_amplitudes,
-    multi_amplitude,
-    transition_matrix,
-)
-from .basis import partner_sites
-from .chain import (
-    ChainSpec,
-    Regime,
-    ResonanceReport,
-    build_single_particle_hamiltonian,
-    engineered_sender_coupling,
-    resonance_report,
-    spectral,
-)
-from .dynmap import (
-    DynamicalMap,
-    classical_transfer_map,
-    fidelity_evaluator,
-    identity_map,
-    independent_channels_map,
-    map_from_evolution,
-    one_qubit_map,
-    tensor_product,
-    two_qubit_map,
-    validate_cptp,
-)
+The names below are the documented entry points; everything else is imported
+from its module (e.g. ``from spintransfer.dynmap import tensor_product``).
+"""
+
+from .amplitudes import chain_transition_matrix, transfer_amplitude_series, transfer_amplitudes
+from .chain import ChainSpec, resonance_report, spectral
+from .dynmap import fidelity_evaluator, map_from_evolution, validate_cptp
 from .errors import (
     DimensionCapError,
     FreeFermionError,
@@ -38,92 +15,32 @@ from .errors import (
     ResonanceError,
     SolverError,
 )
-from .fidelity import (
-    FidelityStats,
-    avg_fidelity_from_amplitudes,
-    avg_fidelity_from_map,
-    avg_fidelity_two_qubit,
-    independent_channels_fidelity,
-    product_ratio_vs_amplitude,
-    product_ratio_vs_fidelity,
-    product_state_variance,
-    second_moment_from_map,
-    stats_from_map,
-    transfer_fidelity_terms,
-)
-from .linalg import EigenDecomposition, TridiagonalSymmetric, det_complex, eig_tridiag, minor
-from .oracle import (
-    McResult,
-    PureState,
-    evolve_block,
-    haar_sample_fidelity,
-    transfer_fidelity_exact,
-)
-from .protocol import (
-    FidelityScan,
-    ProtocolResult,
-    fidelity_scan,
-    find_optimal_time,
-    reduced_amplitude,
-    transfer_envelope,
-)
+from .fidelity import FidelityStats, avg_fidelity_from_amplitudes, stats_from_map
+from .oracle import McResult, haar_sample_fidelity
+from .protocol import fidelity_scan, find_optimal_time, scan_values
 
 __all__ = [
-    "AmplitudeMatrix",
     "ChainSpec",
     "DimensionCapError",
-    "DynamicalMap",
-    "EigenDecomposition",
-    "FidelityScan",
     "FidelityStats",
     "FreeFermionError",
     "MapConstructionError",
     "MapValidationError",
     "McResult",
-    "TransferAmplitudeSet",
-    "ProtocolResult",
-    "PureState",
-    "Regime",
     "ResonanceError",
-    "ResonanceReport",
     "SolverError",
-    "TridiagonalSymmetric",
     "avg_fidelity_from_amplitudes",
-    "avg_fidelity_from_map",
-    "avg_fidelity_two_qubit",
-    "build_single_particle_hamiltonian",
     "chain_transition_matrix",
-    "classical_transfer_map",
-    "det_complex",
-    "eig_tridiag",
-    "engineered_sender_coupling",
-    "evolve_block",
     "fidelity_evaluator",
     "fidelity_scan",
     "find_optimal_time",
     "haar_sample_fidelity",
-    "identity_map",
-    "independent_channels_fidelity",
-    "independent_channels_map",
     "map_from_evolution",
-    "minor",
-    "transfer_amplitudes",
-    "partner_sites",
-    "multi_amplitude",
-    "one_qubit_map",
-    "product_ratio_vs_amplitude",
-    "product_ratio_vs_fidelity",
-    "product_state_variance",
-    "reduced_amplitude",
     "resonance_report",
-    "second_moment_from_map",
+    "scan_values",
     "spectral",
     "stats_from_map",
-    "tensor_product",
-    "transfer_envelope",
-    "transfer_fidelity_exact",
-    "transfer_fidelity_terms",
-    "transition_matrix",
-    "two_qubit_map",
+    "transfer_amplitude_series",
+    "transfer_amplitudes",
     "validate_cptp",
 ]

@@ -10,6 +10,7 @@ produce byte-identical outputs.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import sys
@@ -33,7 +34,6 @@ from .errors import (
     SolverError,
 )
 from .fidelity import (
-    FidelityStats,
     avg_fidelity_from_map,
     independent_channels_fidelity,
     product_ratio_vs_amplitude,
@@ -90,19 +90,31 @@ class ExperimentConfig:
 
     @classmethod
     def merge(cls, file_values: dict, flag_values: dict) -> "ExperimentConfig":
-        known = {f.name for f in fields(cls)}
-        unknown = set(file_values) - known
+        kinds = {f.name: f.type for f in fields(cls)}
+        unknown = set(file_values) - set(kinds)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+        for name, value in file_values.items():
+            if not _is_kind(value, kinds[name]):
+                raise ConfigError(f"config value {name}={value!r} is not of type {kinds[name]}")
         merged = dict(file_values)
         merged.update({k: v for k, v in flag_values.items() if v is not None and v is not False})
-        bad = set(merged) - known
-        if bad:
-            raise ConfigError(f"unknown parameters: {sorted(bad)}")
+        if merged.get("format", "csv") not in ("csv", "json"):
+            raise ConfigError(f"format must be csv or json, got {merged['format']!r}")
         try:
             return cls(**merged)
         except TypeError as exc:
             raise ConfigError(str(exc)) from exc
+
+
+def _is_kind(value, annotation: str) -> bool:
+    """Whether a config-file value fits a field annotated e.g. 'int | None'; floats accept ints."""
+    kind, _, optional = annotation.partition(" | ")
+    if value is None:
+        return bool(optional)
+    if isinstance(value, bool):
+        return kind == "bool"
+    return isinstance(value, {"int": int, "float": (int, float), "str": str, "bool": bool}[kind])
 
 
 def _fmt(x: float) -> str:
@@ -139,31 +151,30 @@ def _apply_engineering(spec: ChainSpec, config: ExperimentConfig):
     return spec.with_sender_coupling(js), js
 
 
-def _write(config: ExperimentConfig, text: str) -> None:
+def _write(config: ExperimentConfig, chunks) -> None:
+    """Write text chunks to --out, or to stdout when it is omitted: the only output path."""
     if config.out is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
     else:
         with open(config.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
 
 
-def _emit_table(config: ExperimentConfig, columns: list[str], rows) -> None:
-    """Write a table of float rows as CSV (streamed) or a JSON dict of columns."""
+def _emit_table(config: ExperimentConfig, columns: dict) -> None:
+    """Stream an ordered name -> column mapping as CSV rows or as a JSON dict of columns."""
+    columns = {name: np.asarray(col, dtype=float) for name, col in columns.items()}
     if config.format == "csv":
-        out = sys.stdout if config.out is None else open(config.out, "w", encoding="utf-8")
-        try:
-            out.write(",".join(columns) + "\n")
-            for row in rows:
-                out.write(",".join(_fmt(v) for v in row) + "\n")
-        finally:
-            if out is not sys.stdout:
-                out.close()
+        header = [",".join(columns) + "\n"]
+        rows = (",".join(map(_fmt, row)) + "\n" for row in zip(*columns.values()))
+        _write(config, itertools.chain(header, rows))
     else:
-        data: dict[str, list[float]] = {name: [] for name in columns}
-        for row in rows:
-            for name, value in zip(columns, row):
-                data[name].append(float(value))
-        _write(config, json.dumps(data, indent=2) + "\n")
+        _emit_json(config, columns)
+
+
+def _emit_json(config: ExperimentConfig, obj) -> None:
+    """Stream obj as indented JSON; numpy arrays become lists only while they are encoded."""
+    encoder = json.JSONEncoder(indent=2, default=np.ndarray.tolist)
+    _write(config, itertools.chain(encoder.iterencode(obj), ["\n"]))
 
 
 # ---------------------------------------------------------------------------
@@ -186,7 +197,7 @@ def cmd_make_spec(config: ExperimentConfig) -> int:
         spec, _ = _apply_engineering(spec, config)
     if config.delta:
         spec = ChainSpec.from_dict({**spec.to_dict(), "delta": config.delta})
-    _write(config, spec.to_json() + "\n")
+    _write(config, [spec.to_json(), "\n"])
     return EXIT_OK
 
 
@@ -214,7 +225,7 @@ def cmd_spectrum(config: ExperimentConfig) -> int:
         "regime": report.regime.value,
         "note": report.note,
     }
-    _write(config, json.dumps(payload, indent=2) + "\n")
+    _emit_json(config, payload)
     return EXIT_OK
 
 
@@ -237,32 +248,18 @@ def cmd_scan(config: ExperimentConfig) -> int:
         raise ConfigError("--grid must be positive")
     times = np.linspace(0.0, tmax, points)
     scan = fidelity_scan(spec, n, times)
-
-    columns = ["t", "F_avg", "F_envelope", "classical_term", "quantum_term"]
-    subset_names = ["abs_f_" + "".join(map(str, s)) for s in scan.amplitudes]
-    columns.extend(subset_names)
+    columns = {
+        "t": times,
+        "F_avg": scan.fidelity,
+        "F_envelope": scan.envelope if scan.envelope is not None else np.full(times.shape, np.nan),
+        "classical_term": scan.classical_term,
+        "quantum_term": scan.quantum_term,
+    }
+    for s, series in scan.amplitudes.items():
+        columns["abs_f_" + "".join(map(str, s))] = np.abs(series)
     if n == 1:
-        columns.append("F_phase_aligned")
-    envelope = scan.envelope if scan.envelope is not None else np.full(times.shape, np.nan)
-    moduli = scan.amplitude_moduli()
-    if n == 1:
-        aligned = phase_aligned_fidelity(moduli[(1,)])
-
-    def rows():
-        for i, t in enumerate(times):
-            row = [
-                t,
-                scan.fidelity[i],
-                envelope[i],
-                scan.classical_term[i],
-                scan.quantum_term[i],
-            ]
-            row.extend(moduli[s][i] for s in scan.amplitudes)
-            if n == 1:
-                row.append(aligned[i])
-            yield row
-
-    _emit_table(config, columns, rows())
+        columns["F_phase_aligned"] = phase_aligned_fidelity(scan.amplitudes[(1,)])
+    _emit_table(config, columns)
     return EXIT_OK
 
 
@@ -287,37 +284,21 @@ def cmd_independent(config: ExperimentConfig) -> int:
     if points < 2:
         raise ConfigError("--grid must be at least 2")
     f_grid = np.linspace(0.0, 1.0, points)
-    columns = [
-        "n",
-        "f",
-        "F_n",
-        "F1_pow_n",
-        "R_f",
-        "R_F",
-        "variance_full",
-        "variance_product",
-        "cv",
-    ]
+    names = ["n", "f", "F_n", "F1_pow_n", "R_f", "R_F", "variance_full", "variance_product", "cv"]
     rows = []
     for n in ns:
         d = 2**n
-        one_qubit_stats_cache: dict[float, FidelityStats] = {}
         for f in f_grid:
-            m = independent_channels_map(f, n)
-            stats = stats_from_map(m)
-            mean1 = independent_channels_fidelity(f, 1)
-            if f not in one_qubit_stats_cache:
-                m1 = independent_channels_map(f, 1)
-                one_qubit_stats_cache[f] = stats_from_map(m1)
-            stats1 = one_qubit_stats_cache[f]
+            stats = stats_from_map(independent_channels_map(f, n))
+            stats1 = stats_from_map(independent_channels_map(f, 1))
             F = stats.mean
             r_F = product_ratio_vs_fidelity(F, n) if F > 1.0 / d + 1e-15 else float("nan")
             rows.append(
                 [
-                    float(n),
-                    float(f),
+                    n,
+                    f,
                     F,
-                    mean1**n,
+                    independent_channels_fidelity(f, 1) ** n,
                     product_ratio_vs_amplitude(float(f), n),
                     r_F,
                     stats.variance,
@@ -325,7 +306,7 @@ def cmd_independent(config: ExperimentConfig) -> int:
                     stats.cv,
                 ]
             )
-    _emit_table(config, columns, rows)
+    _emit_table(config, dict(zip(names, zip(*rows))))
     return EXIT_OK
 
 
@@ -408,7 +389,7 @@ def cmd_montecarlo(config: ExperimentConfig) -> int:
     if config.product:
         zs += [report["product"]["z_mean"], report["product"]["z_second_moment"]]
     report["passed"] = bool(all(z <= 5.0 for z in zs))
-    _write(config, json.dumps(report, indent=2) + "\n")
+    _emit_json(config, report)
     return EXIT_OK if report["passed"] else EXIT_STATISTICAL
 
 
@@ -493,15 +474,12 @@ def main(argv: list[str] | None = None) -> int:
     try:
         config = ExperimentConfig.merge(file_values, flag_values)
         return _COMMANDS[args.command](config)
-    except (ConfigError, ValueError) as exc:
-        if isinstance(exc, _NUMERICAL_ERRORS):
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_NUMERICAL
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except _NUMERICAL_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 def console_main() -> None:

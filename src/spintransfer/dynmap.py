@@ -113,32 +113,31 @@ def trace_deviation(m: DynamicalMap) -> float:
     return float(np.max(np.abs(np.einsum("iinm->nm", m.as_tensor()) - np.eye(m.d))))
 
 
+def _algebraic_deviations(m: DynamicalMap) -> dict[str, float]:
+    """Largest violation of each physicality constraint except Choi positivity."""
+    a = m.as_tensor()
+    diag = np.einsum("iinn->in", a).real
+    return {
+        "trace_preservation": trace_deviation(m),
+        "hermiticity_pairing": float(np.max(np.abs(a - a.transpose(1, 0, 3, 2).conj()))),
+        "diagonal_bounds": float(max(np.max(diag) - 1.0, -np.min(diag), 0.0)),
+        "total_sum": float(abs(np.einsum("iinm->", a) - m.d)),
+    }
+
+
+def _choi_min_eigenvalue(m: DynamicalMap) -> float:
+    choi = choi_matrix(m)
+    return float(np.linalg.eigvalsh((choi + choi.conj().T) / 2.0)[0])
+
+
 def validate_cptp(m: DynamicalMap, tolerance: float = VALIDATION_TOL) -> CptpReport:
     """Check trace preservation, hermiticity pairing, diagonal bounds and Choi positivity."""
-    d = m.d
-    a = m.as_tensor()
-    trace_dev = trace_deviation(m)
-    pairing_dev = float(np.max(np.abs(a - a.transpose(1, 0, 3, 2).conj())))
-    diag = np.einsum("iinn->in", a).real
-    diag_dev = float(max(np.max(diag) - 1.0, -np.min(diag), 0.0))
-    total_dev = float(abs(np.einsum("iinm->", a) - d))
-    choi = choi_matrix(m)
-    eigs = np.linalg.eigvalsh((choi + choi.conj().T) / 2.0)
-    choi_min = float(eigs[0])
-
-    checks = {
-        "trace_preservation": trace_dev,
-        "hermiticity_pairing": pairing_dev,
-        "diagonal_bounds": diag_dev,
-        "total_sum": total_dev,
-        "choi_positivity": -choi_min,
-    }
+    deviations = _algebraic_deviations(m)
+    choi_min = _choi_min_eigenvalue(m)
+    checks = {**deviations, "choi_positivity": -choi_min}
     failures = tuple(name for name, dev in checks.items() if dev > tolerance)
     return CptpReport(
-        trace_preservation=trace_dev,
-        hermiticity_pairing=pairing_dev,
-        diagonal_bounds=diag_dev,
-        total_sum=total_dev,
+        **deviations,
         choi_min_eigenvalue=choi_min,
         tolerance=tolerance,
         passed=not failures,
@@ -153,12 +152,9 @@ def choi_matrix(m: DynamicalMap) -> np.ndarray:
 
 
 def _check_constructed(m: DynamicalMap, what: str) -> DynamicalMap:
-    a = m.as_tensor()
-    pairing_dev = np.max(np.abs(a - a.transpose(1, 0, 3, 2).conj()))
-    worst = max(trace_deviation(m), pairing_dev)
+    worst = max(_algebraic_deviations(m).values())
     if m.d <= _CHOI_AUTOCHECK_MAX_D:
-        choi = choi_matrix(m)
-        worst = max(worst, -float(np.linalg.eigvalsh((choi + choi.conj().T) / 2.0)[0]))
+        worst = max(worst, -_choi_min_eigenvalue(m))
     if worst > VALIDATION_TOL:
         raise MapConstructionError(f"{what} produced an unphysical map (violation {worst:.3e})")
     return m

@@ -23,6 +23,7 @@ from .linalg import EigenDecomposition
 
 _SCAN_CHUNK = 1 << 14
 _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
+_REFINE_ITERS = 80  # 0.618^80 ~ 1e-17 of the bracket, below float resolution
 
 
 def reduced_amplitude(
@@ -80,9 +81,6 @@ class FidelityScan:
     quantum_term: np.ndarray
     envelope: np.ndarray | None
     amplitudes: dict[tuple[int, ...], np.ndarray]
-
-    def amplitude_moduli(self) -> dict[tuple[int, ...], np.ndarray]:
-        return {s: np.abs(a) for s, a in self.amplitudes.items()}
 
 
 def _amplitude_chunks(spec: ChainSpec, n: int, times: np.ndarray):
@@ -143,7 +141,6 @@ def find_optimal_time(
     n: int,
     window: tuple[float, float] | None = None,
     coarse_points: int | None = None,
-    refine_iters: int = 80,
     phase_aligned: bool = False,
 ) -> ProtocolResult:
     """Locate the best transfer time by a coarse scan plus golden-section refinement.
@@ -188,7 +185,7 @@ def find_optimal_time(
     x1 = b - _GOLDEN * (b - a)
     x2 = a + _GOLDEN * (b - a)
     f1, f2 = objective(x1), objective(x2)
-    for _ in range(refine_iters):
+    for _ in range(_REFINE_ITERS):
         if f1 < f2:
             a, x1, f1 = x1, x2, f2
             x2 = a + _GOLDEN * (b - a)

@@ -7,6 +7,9 @@ an explicit Kronecker-product Hamiltonian on the 2^N space.
 
 from __future__ import annotations
 
+import itertools
+import math
+
 import numpy as np
 
 from spintransfer.chain import ChainSpec
@@ -68,3 +71,27 @@ def full_space_evolve(spec: ChainSpec, psi0: np.ndarray, t: float) -> np.ndarray
     h = full_space_hamiltonian(spec)
     w, v = np.linalg.eigh(h)
     return v @ (np.exp(-1j * w * t) * (v.conj().T @ psi0))
+
+
+def haar_moments_by_pairings(a: np.ndarray) -> tuple[float, float]:
+    """E[F] and E[F^2] over Haar-random pure inputs of a stored map tensor A[i, j, n, m].
+
+    F(psi) = sum A[i,j,n,m] psi_i conj(psi_j) conj(psi_n) psi_m has kets (i, m)
+    and bras (j, n).  The Haar average of k kets times k bras sums, over every
+    permutation sigma in S_k, the contraction joining ket r to bra sigma(r),
+    divided by d(d+1)...(d+k-1).  E[F^2] takes k = 4 over two copies of A.
+    """
+    d = a.shape[0]
+    kets = "abcd"
+
+    def moment(k: int) -> float:
+        total = 0.0
+        for sigma in itertools.permutations(range(k)):
+            bras = [""] * k
+            for r in range(k):
+                bras[sigma[r]] = kets[r]
+            copies = [kets[2 * c] + bras[2 * c] + bras[2 * c + 1] + kets[2 * c + 1] for c in range(k // 2)]
+            total += np.einsum(",".join(copies) + "->", *[a] * (k // 2))
+        return float(np.real(total)) / math.prod(d + r for r in range(k))
+
+    return moment(2), moment(4)

@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from spintransfer.chain import ChainSpec
@@ -179,6 +180,24 @@ def test_config_file_and_flag_override(weak15, tmp_path):
     assert len(out2.read_text().strip().splitlines()) == 4
 
 
+@pytest.mark.parametrize(
+    "argv, values",
+    [
+        (["scan", "--spec", "WEAK15", "--grid", 5], {"tmax": "50"}),
+        (["scan", "--spec", "WEAK15", "--tmax", 50], {"grid": "9"}),
+        (["scan", "--spec", "WEAK15", "--tmax", 50, "--grid", 5], {"format": "xml"}),
+        (["montecarlo", "--identity", "--n", 1, "--seed", 3], {"samples": 2.5}),
+    ],
+)
+def test_config_values_of_wrong_type_rejected(weak15, tmp_path, argv, values):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(values))
+    out = tmp_path / "out"
+    argv = [weak15 if a == "WEAK15" else a for a in argv]
+    assert run([*argv, "--config", cfg, "--out", out]) == 2
+    assert not out.exists()
+
+
 def test_unknown_config_key_rejected(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"grid": 5, "bogus": 1}))
@@ -201,3 +220,26 @@ def test_scan_json_format(weak15, tmp_path):
     data = json.loads(out.read_text())
     assert set(["t", "F_avg", "classical_term"]).issubset(data.keys())
     assert len(data["t"]) == 5
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["scan", "--spec", ChainSpec.uniform(8, n=1).to_json(), "--tmax", 20, "--grid", 40],
+        ["scan", "--spec", "WEAK15", "--tmax", 200, "--grid", 40],
+        ["independent", "--n-list", "1,3", "--grid", 11],
+    ],
+    ids=["uniform8-n1", "weak15", "independent"],
+)
+def test_json_and_csv_tables_agree(weak15, tmp_path, argv):
+    argv = [weak15 if a == "WEAK15" else a for a in argv]
+    csv_out, json_out = tmp_path / "t.csv", tmp_path / "t.json"
+    assert run([*argv, "--out", csv_out]) == 0
+    assert run([*argv, "--format", "json", "--out", json_out]) == 0
+    header, *lines = csv_out.read_text().splitlines()
+    names = header.split(",")
+    data = json.loads(json_out.read_text())
+    assert list(data) == names
+    csv_columns = np.array([[float(x) for x in ln.split(",")] for ln in lines]).T
+    for name, column in zip(names, csv_columns):
+        np.testing.assert_array_equal(np.array(data[name], dtype=float), column, err_msg=name)

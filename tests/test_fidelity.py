@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from helpers import haar_moments_by_pairings
 
 from spintransfer.amplitudes import TransferAmplitudeSet, chain_transition_matrix, transfer_amplitudes
 from spintransfer.basis import subsets_by_excitation
@@ -79,6 +80,34 @@ def test_jensen_inequality_on_chain_maps():
         mean = avg_fidelity_from_map(m)
         second = second_moment_from_map(m)
         assert mean**2 - 1e-12 <= second <= mean + 1e-12
+
+
+def _pairing_cases():
+    rng = np.random.default_rng(31)
+    delta_chain = ChainSpec.from_dict({**ChainSpec.uniform(12, n=3).to_dict(), "delta": 0.3})
+    cases = {}
+    for d in range(2, 17):
+        cases[f"identity-{d}"] = lambda d=d: identity_map(d)
+        cases[f"classical-{d}"] = lambda d=d: classical_transfer_map(d)
+    for k, f in enumerate(rng.uniform(0, 1, 4) * np.exp(2j * np.pi * rng.uniform(0, 1, 4))):
+        cases[f"one-qubit-{k}"] = lambda f=f: one_qubit_map(f)
+    for n in (2, 3, 4):
+        cases[f"independent-{n}"] = lambda n=n: independent_channels_map(0.6 * np.exp(0.7j), n)
+    for N, n in ((6, 1), (8, 2), (10, 3), (10, 4)):
+        cases[f"chain-{N}-{n}"] = lambda N=N, n=n: map_from_evolution(ChainSpec.uniform(N, n=n), n, 3.1)
+    cases["delta-chain-12-3"] = lambda: map_from_evolution(delta_chain, 3, 7.5)
+    return cases
+
+
+_PAIRING_CASES = _pairing_cases()
+
+
+@pytest.mark.parametrize("case", list(_PAIRING_CASES))
+def test_closed_form_moments_match_haar_pairings(case):
+    m = _PAIRING_CASES[case]()
+    mean, second = haar_moments_by_pairings(m.as_tensor())
+    assert abs(avg_fidelity_from_map(m) - mean) <= 1e-13
+    assert abs(second_moment_from_map(m) - second) <= 1e-13
 
 
 def test_map_validation_required():
