@@ -11,7 +11,9 @@ Transfer amplitudes pair each sender subset S with its positional partner on
 the receiver block, S + (N - n).  The pairing preserves order, so the
 partner subset of an ascending S is ascending and the determinant needs no
 reordering sign; on a reflection-symmetric chain it also makes the
-single-site amplitude series of site s and site n+1-s exactly equal.
+single-site amplitude series of site s and site n+1-s exactly equal.  These
+amplitudes are the principal minors of the n x n sender -> receiver block B(t)
+of F(t), so their sum 1 + sum_S f_S^S is the single determinant det(I + B).
 """
 
 from __future__ import annotations
@@ -102,14 +104,12 @@ def transfer_amplitudes(F: AmplitudeMatrix, n: int) -> TransferAmplitudeSet:
     return TransferAmplitudeSet(block_size=n, entries=entries)
 
 
-def transfer_amplitude_series(
-    decomp: EigenDecomposition, n: int, times: np.ndarray
-) -> dict[tuple[int, ...], np.ndarray]:
-    """f_S^S(t) for every nonempty subset S over a whole time grid.
+def transfer_block_series(decomp: EigenDecomposition, n: int, times: np.ndarray) -> np.ndarray:
+    """Sender -> receiver block B(t) of F(t) over a time grid, shape (T, n, n).
 
-    Vectorised equivalent of transfer_amplitudes applied per time; only the
-    sender-row / receiver-column entries of F(t) are ever formed, so grids of
-    a few million points stay cheap.
+    B[:, a, b] = f_{a+1}^{N-n+b+1}(t): row a is sender site a+1, column b the
+    receiver site at the same position.  Only these n x n entries of F(t) are
+    ever formed, so grids of a few million points stay cheap.
     """
     N = decomp.size
     times = np.asarray(times, dtype=float)
@@ -119,14 +119,36 @@ def transfer_amplitude_series(
     # Coefficient c[(a, b), k] = phi[sender_a, k] * phi[receiver_b, k]
     coeff = phi[sender][:, None, :] * phi[receiver][None, :, :]
     phases = np.exp(-1j * np.outer(times, decomp.eigenvalues))
-    block = np.tensordot(phases, coeff, axes=([1], [2]))  # (T, n, n)
+    return np.tensordot(phases, coeff, axes=([1], [2]))
 
+
+def subset_minor_series(block: np.ndarray) -> dict[tuple[int, ...], np.ndarray]:
+    """f_S^S(t) for every nonempty subset S: the principal minors of B(t) on rows and columns S."""
     out: dict[tuple[int, ...], np.ndarray] = {}
-    for S in subsets_by_excitation(n, include_empty=False):
+    for S in subsets_by_excitation(block.shape[-1], include_empty=False):
         idx = [s - 1 for s in S]
-        sub = block[:, idx][:, :, idx]
-        out[S] = _batched_det(sub)
+        out[S] = _batched_det(block[:, idx][:, :, idx])
     return out
+
+
+def total_transfer_amplitude(block: np.ndarray) -> np.ndarray:
+    """1 + sum_S f_S^S(t) over every nonempty S, as one determinant det(I + B(t)) per time.
+
+    The subset sum is the principal-minor expansion of det(I + B), so the
+    average fidelity needs one n x n determinant per time point, not 2^n - 1.
+    """
+    return _batched_det(block + np.eye(block.shape[-1]))
+
+
+def transfer_amplitude_series(
+    decomp: EigenDecomposition, n: int, times: np.ndarray
+) -> dict[tuple[int, ...], np.ndarray]:
+    """f_S^S(t) for every nonempty subset S over a whole time grid.
+
+    Vectorised equivalent of transfer_amplitudes applied per time: the
+    principal minors of the sender -> receiver block B(t).
+    """
+    return subset_minor_series(transfer_block_series(decomp, n, times))
 
 
 def _batched_det(mats: np.ndarray) -> np.ndarray:

@@ -13,6 +13,8 @@ import argparse
 import itertools
 import json
 import math
+import os
+import stat
 import sys
 from dataclasses import dataclass, fields
 
@@ -49,6 +51,11 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 EXIT_STATISTICAL = 4
+
+# A scan holds about 2**n numbers per grid point (one series per subset plus
+# their moduli); grids with more cells than this are rejected before any work.
+MAX_SCAN_CELLS = 1 << 26
+_CSV_BLOCK_ROWS = 1 << 10  # rows turned into Python floats and joined at a time
 
 _NUMERICAL_ERRORS = (
     FreeFermionError,
@@ -152,23 +159,61 @@ def _apply_engineering(spec: ChainSpec, config: ExperimentConfig):
 
 
 def _write(config: ExperimentConfig, chunks) -> None:
-    """Write text chunks to --out, or to stdout when it is omitted: the only output path."""
+    """Write text chunks to --out, or to stdout when it is omitted: the only output path.
+
+    A regular --out file is written to a temporary file beside it and renamed
+    into place, so a failure partway leaves no partial output and an existing
+    file untouched.  Devices and pipes (e.g. /dev/null) are written in place.
+    """
     if config.out is None:
         sys.stdout.writelines(chunks)
-    else:
+        return
+    try:
+        existing = os.stat(config.out)
+    except FileNotFoundError:
+        existing = None
+    if existing is not None and not stat.S_ISREG(existing.st_mode):
         with open(config.out, "w", encoding="utf-8") as fh:
             fh.writelines(chunks)
+        return
+    target = os.path.realpath(config.out)  # like open(), write through a symlink
+    head, name = os.path.split(target)
+    tmp = os.path.join(head, f".{name}.{os.urandom(6).hex()}.tmp")
+    # O_EXCL never follows or reuses an existing path; 0o666 less the umask is
+    # the mode open(target, "w") gives a new file.
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with open(fd, "w", encoding="utf-8") as fh:
+            fh.writelines(chunks)
+        if existing is not None:
+            os.chmod(tmp, stat.S_IMODE(existing.st_mode))  # as open() would, keep its mode
+        os.replace(tmp, target)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def _emit_table(config: ExperimentConfig, columns: dict) -> None:
     """Stream an ordered name -> column mapping as CSV rows or as a JSON dict of columns."""
     columns = {name: np.asarray(col, dtype=float) for name, col in columns.items()}
     if config.format == "csv":
-        header = [",".join(columns) + "\n"]
-        rows = (",".join(map(_fmt, row)) + "\n" for row in zip(*columns.values()))
-        _write(config, itertools.chain(header, rows))
+        _write(config, _csv_lines(columns))
     else:
         _emit_json(config, columns)
+
+
+def _csv_lines(columns: dict):
+    """CSV text of a name -> float column mapping: the header line, then blocks of rows.
+
+    Each block of rows becomes Python floats and one %-template formats a
+    whole row: the same text as _fmt per cell, without a call per numpy scalar.
+    """
+    yield ",".join(columns) + "\n"
+    line = ",".join(["%.17g"] * len(columns)) + "\n"
+    values = list(columns.values())
+    for lo in range(0, len(values[0]), _CSV_BLOCK_ROWS):
+        block = [col[lo : lo + _CSV_BLOCK_ROWS].tolist() for col in values]
+        yield "".join(line % row for row in zip(*block))
 
 
 def _emit_json(config: ExperimentConfig, obj) -> None:
@@ -246,6 +291,11 @@ def cmd_scan(config: ExperimentConfig) -> int:
     points = config.grid if config.grid is not None else int(np.ceil(tmax / 0.2)) + 1
     if points < 1:
         raise ConfigError("--grid must be positive")
+    if points * 2**n > MAX_SCAN_CELLS:
+        raise ConfigError(
+            f"--grid {points} with n={n} needs {points * 2**n} cells, above the limit of "
+            f"{MAX_SCAN_CELLS}; use at most {MAX_SCAN_CELLS // 2**n} points"
+        )
     times = np.linspace(0.0, tmax, points)
     scan = fidelity_scan(spec, n, times)
     columns = {

@@ -116,16 +116,21 @@ class TransferFidelityTerms(NamedTuple):
     quantum: float
 
 
-def fidelity_terms(amplitudes, d: int) -> TransferFidelityTerms:
+def fidelity_terms(amplitudes, d: int, total_amplitude=None) -> TransferFidelityTerms:
     """Decomposed average fidelity from the amplitudes f_S^S of every nonempty subset S.
 
     Works elementwise, so each amplitude may be a number or a series over a
-    time grid.  random_guess + classical reach the entanglement-free
-    benchmark 2/(d+1) when every transition probability is one; the quantum
-    piece carries the coherences and can add up to (d-1)/(d+1) on top.
+    time grid.  `total_amplitude` is 1 + sum_S f_S^S, which a chain gives as
+    det(I + B) of its sender -> receiver block; it is summed from `amplitudes`
+    when omitted, and with it alone (no amplitudes) only `total` is meaningful.
+    random_guess + classical reach the entanglement-free benchmark 2/(d+1)
+    when every transition probability is one; the quantum piece carries the
+    coherences and can add up to (d-1)/(d+1) on top.
     """
     amplitudes = list(amplitudes)
-    total = 1.0 / (d + 1) + np.abs(1.0 + sum(amplitudes)) ** 2 / (d * (d + 1))
+    if total_amplitude is None:
+        total_amplitude = 1.0 + sum(amplitudes)
+    total = 1.0 / (d + 1) + np.abs(total_amplitude) ** 2 / (d * (d + 1))
     random_guess = 1.0 / d
     classical = sum(np.abs(f) ** 2 for f in amplitudes) / (d * (d + 1))
     return TransferFidelityTerms(total, random_guess, classical, total - (random_guess + classical))

@@ -14,7 +14,12 @@ from typing import Callable
 
 import numpy as np
 
-from .amplitudes import require_free_fermion, transfer_amplitude_series
+from .amplitudes import (
+    require_free_fermion,
+    subset_minor_series,
+    total_transfer_amplitude,
+    transfer_block_series,
+)
 from .basis import subsets_by_excitation
 from .chain import ChainSpec, ResonanceReport, resonance_report, spectral
 from .errors import ResonanceError
@@ -84,40 +89,50 @@ class FidelityScan:
 
 
 def _amplitude_chunks(spec: ChainSpec, n: int, times: np.ndarray):
-    """Yield (start index, f_S^S series) over consecutive chunks of the time grid."""
+    """Yield (start index, sender -> receiver block B(t)) over consecutive chunks of the time grid."""
     require_free_fermion(spec)
     decomp = spectral(spec)
     for lo in range(0, times.size, _SCAN_CHUNK):
-        yield lo, transfer_amplitude_series(decomp, n, times[lo : lo + _SCAN_CHUNK])
+        yield lo, transfer_block_series(decomp, n, times[lo : lo + _SCAN_CHUNK])
 
 
 def scan_values(spec: ChainSpec, n: int, times: np.ndarray) -> np.ndarray:
-    """Average transfer fidelity on a time grid (vectorised, chunked)."""
+    """Average transfer fidelity on a time grid: one det(I + B) per time point, chunked."""
     times = np.asarray(times, dtype=float)
     out = np.empty(times.shape, dtype=float)
-    for lo, amps in _amplitude_chunks(spec, n, times):
-        out[lo : lo + _SCAN_CHUNK] = fidelity_terms(amps.values(), 2**n).total
+    for lo, block in _amplitude_chunks(spec, n, times):
+        out[lo : lo + _SCAN_CHUNK] = fidelity_terms((), 2**n, total_transfer_amplitude(block)).total
     return out
 
 
 def fidelity_scan(spec: ChainSpec, n: int, t_grid) -> FidelityScan:
-    """Scan the average transfer fidelity, its decomposition and all subset amplitudes."""
+    """Scan the average transfer fidelity, its decomposition and all subset amplitudes.
+
+    The fidelity comes from det(I + B) exactly as in scan_values; the 2^n - 1
+    subset minors feed only the amplitude series and the classical term.
+    """
     times = np.asarray(t_grid, dtype=float)
     subsets = subsets_by_excitation(n, include_empty=False)
     amps = {s: np.empty(times.shape, dtype=complex) for s in subsets}
-    for lo, part in _amplitude_chunks(spec, n, times):
+    fidelity, classical, quantum = (np.empty(times.shape, dtype=float) for _ in range(3))
+    for lo, block in _amplitude_chunks(spec, n, times):
+        part = subset_minor_series(block)
+        terms = fidelity_terms(part.values(), 2**n, total_transfer_amplitude(block))
+        chunk = slice(lo, lo + _SCAN_CHUNK)
+        fidelity[chunk] = terms.total
+        classical[chunk] = terms.random_guess + terms.classical
+        quantum[chunk] = terms.quantum
         for s, series in part.items():
-            amps[s][lo : lo + _SCAN_CHUNK] = series
-    terms = fidelity_terms(amps.values(), 2**n)
+            amps[s][chunk] = series
     envelope = None
     if _optional_report(spec, n) is not None:
         envelope = transfer_envelope(spec, n)(times)
     return FidelityScan(
         block_size=n,
         times=times,
-        fidelity=terms.total,
-        classical_term=terms.random_guess + terms.classical,
-        quantum_term=terms.quantum,
+        fidelity=fidelity,
+        classical_term=classical,
+        quantum_term=quantum,
         envelope=envelope,
         amplitudes=amps,
     )

@@ -1,8 +1,9 @@
 """Independent reference implementations used as test oracles.
 
 Nothing here may call the package's production code paths it is used to
-check: determinants come from cofactor expansion, full-chain evolution from
-an explicit Kronecker-product Hamiltonian on the 2^N space.
+check: determinants come from cofactor expansion, single-particle propagators
+from a matrix exponential, full-chain evolution from an explicit
+Kronecker-product Hamiltonian on the 2^N space.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ import itertools
 import math
 
 import numpy as np
+import scipy.linalg
 
 from spintransfer.chain import ChainSpec
 
@@ -34,6 +36,14 @@ def random_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
+def single_particle_propagator(spec: ChainSpec, t: float) -> np.ndarray:
+    """F(t) = exp(-i t H1) by matrix exponential of the one-excitation hopping matrix H1."""
+    h1 = np.diag(np.asarray(spec.fields, dtype=float))
+    h1 += np.diag(np.asarray(spec.couplings, dtype=float) / 2.0, 1)
+    h1 += np.diag(np.asarray(spec.couplings, dtype=float) / 2.0, -1)
+    return scipy.linalg.expm(-1j * t * h1)
+
+
 def full_space_hamiltonian(spec: ChainSpec) -> np.ndarray:
     """Dense 2^N Hamiltonian built from single-site operators, site 1 leftmost."""
     N = spec.N
@@ -41,21 +51,22 @@ def full_space_hamiltonian(spec: ChainSpec) -> np.ndarray:
     occ = np.array([0.0, 1.0])
     h = np.zeros((dim, dim), dtype=complex)
 
-    def site_op(op: np.ndarray, site: int) -> np.ndarray:
+    def site_ops(ops: dict[int, np.ndarray]) -> np.ndarray:
+        """Kronecker product with ops[s] on each listed site s and the identity elsewhere."""
         out = np.ones((1, 1), dtype=complex)
         for s in range(1, N + 1):
-            out = np.kron(out, op if s == site else np.eye(2))
+            out = np.kron(out, ops.get(s, np.eye(2)))
         return out
 
     lower = np.array([[0.0, 1.0], [0.0, 0.0]])  # |0><1|
     raise_ = lower.T
     number = np.diag(occ)
     for i in range(1, N):
-        hop = site_op(raise_, i) @ site_op(lower, i + 1)
+        hop = site_ops({i: raise_, i + 1: lower})
         h += spec.couplings[i - 1] / 2.0 * (hop + hop.conj().T)
-        h += spec.delta * site_op(number, i) @ site_op(number, i + 1)
+        h += spec.delta * site_ops({i: number, i + 1: number})
     for i in range(1, N + 1):
-        h += spec.fields[i - 1] * site_op(number, i)
+        h += spec.fields[i - 1] * site_ops({i: number})
     return h
 
 
@@ -68,9 +79,10 @@ def full_space_index(sites: tuple[int, ...], N: int) -> int:
 
 
 def full_space_evolve(spec: ChainSpec, psi0: np.ndarray, t: float) -> np.ndarray:
+    """exp(-iHt) psi0, where psi0 is one state or a matrix whose columns are states."""
     h = full_space_hamiltonian(spec)
     w, v = np.linalg.eigh(h)
-    return v @ (np.exp(-1j * w * t) * (v.conj().T @ psi0))
+    return v @ (np.exp(-1j * w * t) * (v.conj().T @ psi0).T).T
 
 
 def haar_moments_by_pairings(a: np.ndarray) -> tuple[float, float]:

@@ -1,18 +1,24 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from helpers import cofactor_det, full_space_evolve, full_space_index, single_particle_propagator
 from spintransfer.amplitudes import (
     TransferAmplitudeSet,
     chain_transition_matrix,
     multi_amplitude,
+    total_transfer_amplitude,
     transfer_amplitude_series,
     transfer_amplitudes,
+    transfer_block_series,
     transition_matrix,
 )
-from spintransfer.basis import excitation_sector
+from spintransfer.basis import excitation_sector, partner_sites, subsets_by_excitation
 from spintransfer.chain import ChainSpec, spectral
 from spintransfer.errors import FreeFermionError
 from spintransfer.oracle import PureState, evolve_block
+from spintransfer.protocol import scan_values
 
 
 def test_zero_time_is_identity():
@@ -133,3 +139,63 @@ def test_anisotropic_chain_rejected():
 def test_amplitude_set_requires_all_subsets():
     with pytest.raises(ValueError):
         TransferAmplitudeSet(block_size=2, entries={(1,): 1.0, (2,): 1.0})
+
+
+@st.composite
+def free_fermion_chains(draw, sizes, block_sizes):
+    """Random zero-anisotropy chains: couplings in [0.05, 2], fields in [-1, 1], the
+    two block-wire bonds sharing one coupling J0."""
+    N = draw(sizes)
+    n = draw(block_sizes(N))
+    unit = st.floats(0.05, 2.0, allow_nan=False)
+    couplings = draw(st.lists(unit, min_size=N - 1, max_size=N - 1))
+    couplings[N - n - 1] = couplings[n - 1]
+    fields = draw(st.lists(st.floats(-1.0, 1.0, allow_nan=False), min_size=N, max_size=N))
+    spec = ChainSpec(
+        N=N,
+        couplings=couplings,
+        fields=fields,
+        sender_sites=tuple(range(1, n + 1)),
+        receiver_sites=tuple(range(N - n + 1, N + 1)),
+        J0=couplings[n - 1],
+    )
+    return spec, n
+
+
+_TIMES = st.floats(0.0, 50.0, allow_nan=False)
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(
+    chain=free_fermion_chains(st.integers(4, 12), lambda N: st.integers(1, min(6, N // 2))),
+    t=_TIMES,
+)
+def test_det_one_plus_block_is_the_subset_sum(chain, t):
+    """det(I + B) = 1 + sum over nonempty S of the minor F[S, partner(S)]."""
+    spec, n = chain
+    F = single_particle_propagator(spec, t)
+    minors = sum(
+        cofactor_det(F[np.ix_([s - 1 for s in S], [r - 1 for r in partner_sites(S, spec.N, n)])])
+        for S in subsets_by_excitation(n, include_empty=False)
+    )
+    block = transfer_block_series(spectral(spec), n, np.array([t]))
+    assert abs(total_transfer_amplitude(block)[0] - (1.0 + minors)) <= 1e-12
+
+
+@settings(derandomize=True, deadline=None, max_examples=3)
+@given(chain=free_fermion_chains(st.just(10), lambda N: st.just(5)), t=_TIMES)
+def test_five_qubit_scan_matches_full_space_evolution(chain, t):
+    """scan_values at n=5 against amplitudes of the explicit 2^10-dimensional evolution."""
+    spec, n = chain
+    subsets = subsets_by_excitation(n, include_empty=True)
+    psi0 = np.zeros((2**spec.N, len(subsets)), dtype=complex)
+    for col, S in enumerate(subsets):
+        psi0[full_space_index(S, spec.N), col] = 1.0
+    evolved = full_space_evolve(spec, psi0, t)
+    total = sum(
+        evolved[full_space_index(partner_sites(S, spec.N, n), spec.N), col]
+        for col, S in enumerate(subsets)
+    )  # the empty set contributes the vacuum amplitude 1
+    d = 2**n
+    exact = 1.0 / (d + 1) + abs(total) ** 2 / (d * (d + 1))
+    assert abs(scan_values(spec, n, np.array([t]))[0] - exact) <= 1e-10

@@ -1,8 +1,11 @@
 import json
+import stat
+import time
 
 import numpy as np
 import pytest
 
+from spintransfer import cli
 from spintransfer.chain import ChainSpec
 from spintransfer.cli import main
 
@@ -99,6 +102,55 @@ def test_scan_rejects_bad_tmax(weak15, tmp_path, tmax):
     out = tmp_path / "scan.csv"
     assert run(["scan", "--spec", weak15, "--tmax", tmax, "--grid", 5, "--out", out]) == 2
     assert not out.exists()
+
+
+def test_scan_grid_over_cell_limit_exits_before_any_work(weak15, tmp_path):
+    out = tmp_path / "scan.csv"
+    points = cli.MAX_SCAN_CELLS // 2**3 + 1  # one row over the limit for n = 3
+    start = time.perf_counter()
+    assert run(["scan", "--spec", weak15, "--grid", points, "--out", out]) == 2
+    assert time.perf_counter() - start < 5.0
+    assert not out.exists()
+
+
+def test_csv_rows_format_like_fmt_across_blocks():
+    rows = cli._CSV_BLOCK_ROWS + 3
+    rng = np.random.default_rng(4)
+    columns = [rng.standard_normal(rows), np.linspace(0.0, 1e6, rows), rng.standard_normal(rows)]
+    columns[0][:6] = [np.nan, np.inf, -np.inf, -0.0, 5e-324, 1e17]
+    expected = "".join(",".join(map(cli._fmt, row)) + "\n" for row in zip(*columns))
+    assert "".join(cli._csv_lines(dict(zip("xyz", columns)))) == "x,y,z\n" + expected
+
+
+def test_failed_out_write_leaves_old_file(tmp_path):
+    out = tmp_path / "table.csv"
+    out.write_text("old contents\n")
+    out.chmod(0o640)
+    config = cli.ExperimentConfig(out=str(out))
+
+    def chunks():
+        yield "t,F_avg\n"
+        raise RuntimeError("formatting failed partway")
+
+    with pytest.raises(RuntimeError):
+        cli._write(config, chunks())
+    assert out.read_text() == "old contents\n"
+    assert list(tmp_path.iterdir()) == [out]  # no stray temporary file
+    cli._write(config, iter(["a\n", "b\n"]))
+    assert out.read_text() == "a\nb\n"
+    assert stat.S_IMODE(out.stat().st_mode) == 0o640  # an existing file keeps its mode
+
+
+def test_out_file_mode_and_symlink_match_plain_open(tmp_path):
+    plain, written = tmp_path / "plain.csv", tmp_path / "written.csv"
+    with open(plain, "w"):
+        pass
+    cli._write(cli.ExperimentConfig(out=str(written)), ["x\n"])
+    assert stat.S_IMODE(written.stat().st_mode) == stat.S_IMODE(plain.stat().st_mode)
+    link = tmp_path / "link.csv"
+    link.symlink_to(written)
+    cli._write(cli.ExperimentConfig(out=str(link)), ["y\n"])
+    assert link.is_symlink() and written.read_text() == "y\n"
 
 
 def test_scan_rejects_anisotropy(tmp_path):
