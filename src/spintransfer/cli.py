@@ -108,6 +108,8 @@ class ExperimentConfig:
         merged.update({k: v for k, v in flag_values.items() if v is not None and v is not False})
         if merged.get("format", "csv") not in ("csv", "json"):
             raise ConfigError(f"format must be csv or json, got {merged['format']!r}")
+        if merged.get("out") is not None:
+            _check_out_path(merged["out"])
         try:
             return cls(**merged)
         except TypeError as exc:
@@ -122,6 +124,16 @@ def _is_kind(value, annotation: str) -> bool:
     if isinstance(value, bool):
         return kind == "bool"
     return isinstance(value, {"int": int, "float": (int, float), "str": str, "bool": bool}[kind])
+
+
+def _check_out_path(out: str) -> None:
+    """Reject, before any work, an --out that is a directory or lies in a missing directory."""
+    target = os.path.realpath(out)  # _write writes through symlinks, so check where it lands
+    if os.path.isdir(target):
+        raise ConfigError(f"--out {out!r} is a directory")
+    head = os.path.dirname(target)
+    if not os.path.isdir(head):
+        raise ConfigError(f"--out {out!r}: {head!r} is not an existing directory")
 
 
 def _fmt(x: float) -> str:
@@ -529,6 +541,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_NUMERICAL
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except OSError as exc:  # --out could not be written
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
 

@@ -278,8 +278,11 @@ def map_from_evolution(spec: ChainSpec, n: int, t: float) -> DynamicalMap:
     of the map are exact by linearity.
     """
     tensor = receiver_amplitude_tensor(spec, n, t)  # [p, env, receiver label]
-    stored = np.einsum("nei,mej->ijnm", tensor.conj(), tensor)
     d = 2**n
+    # Rows: environment configurations; column (p, label).  The map is the
+    # Gram matrix sum_e conj T[n,e,i] T[m,e,j], one d^2 x d^2 GEMM.
+    flat = tensor.transpose(1, 0, 2).reshape(tensor.shape[1], d * d)
+    stored = (flat.conj().T @ flat).reshape(d, d, d, d).transpose(1, 3, 0, 2)
     return _check_constructed(
         DynamicalMap(d=d, elements=stored.reshape(d**2, d**2)), "map_from_evolution"
     )
@@ -325,8 +328,14 @@ def fidelity_evaluator(m: DynamicalMap):
             states = states[None, :]
         if states.shape[1] != d:
             raise ValueError(f"states must have dimension {d}, got {states.shape[1]}")
-        u = (states.conj()[:, :, None] * states[:, None, :]).reshape(states.shape[0], d * d)
-        return np.einsum("sa,ab,sb->s", u.conj(), A, u).real
+        # F_s = sum_ab conj(u_sa) A_ab u_sb with u_s = vec(conj psi_s (x) psi_s): one GEMM
+        # on uc = conj(u), then uc is conjugated in place, so at most two
+        # (batch, d^2) arrays are alive at once.
+        uc = (states[:, :, None] * states.conj()[:, None, :]).reshape(states.shape[0], d * d)
+        p = uc @ A
+        np.conjugate(uc, out=uc)
+        p *= uc
+        return p.sum(axis=1).real
 
     return evaluate
 

@@ -3,7 +3,8 @@
 Nothing here may call the package's production code paths it is used to
 check: determinants come from cofactor expansion, single-particle propagators
 from a matrix exponential, full-chain evolution from an explicit
-Kronecker-product Hamiltonian on the 2^N space.
+Kronecker-product Hamiltonian on the 2^N space.  `free_fermion_chains` is
+the random-chain strategy the property tests share.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import math
 
 import numpy as np
 import scipy.linalg
+from hypothesis import strategies as st
 
 from spintransfer.chain import ChainSpec
 
@@ -34,6 +36,27 @@ def random_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
     g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     q, r = np.linalg.qr(g)
     return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+@st.composite
+def free_fermion_chains(draw, sizes, block_sizes):
+    """Random zero-anisotropy chains: couplings in [0.05, 2], fields in [-1, 1], the
+    two block-wire bonds sharing one coupling J0."""
+    N = draw(sizes)
+    n = draw(block_sizes(N))
+    unit = st.floats(0.05, 2.0, allow_nan=False)
+    couplings = draw(st.lists(unit, min_size=N - 1, max_size=N - 1))
+    couplings[N - n - 1] = couplings[n - 1]
+    fields = draw(st.lists(st.floats(-1.0, 1.0, allow_nan=False), min_size=N, max_size=N))
+    spec = ChainSpec(
+        N=N,
+        couplings=couplings,
+        fields=fields,
+        sender_sites=tuple(range(1, n + 1)),
+        receiver_sites=tuple(range(N - n + 1, N + 1)),
+        J0=couplings[n - 1],
+    )
+    return spec, n
 
 
 def single_particle_propagator(spec: ChainSpec, t: float) -> np.ndarray:
@@ -107,3 +130,17 @@ def haar_moments_by_pairings(a: np.ndarray) -> tuple[float, float]:
         return float(np.real(total)) / math.prod(d + r for r in range(k))
 
     return moment(2), moment(4)
+
+
+def map_by_environment_loop(tensor: np.ndarray) -> np.ndarray:
+    """Stored map A[(i,j)][(n,m)] = sum_e conj T[n,e,i] T[m,e,j] of a [p, env, label] tensor.
+
+    One environment configuration at a time: each adds the outer product of
+    its conjugated and plain (sender, label) amplitude blocks.
+    """
+    d = tensor.shape[0]
+    a = np.zeros((d, d, d, d), dtype=complex)
+    for e in range(tensor.shape[1]):
+        block = tensor[:, e, :]  # [sender p, receiver label]
+        a += np.multiply.outer(block.conj().T, block.T).transpose(0, 2, 1, 3)
+    return a.reshape(d * d, d * d)

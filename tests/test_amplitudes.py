@@ -3,7 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import cofactor_det, full_space_evolve, full_space_index, single_particle_propagator
+from helpers import (
+    cofactor_det,
+    free_fermion_chains,
+    full_space_evolve,
+    full_space_index,
+    single_particle_propagator,
+)
 from spintransfer.amplitudes import (
     TransferAmplitudeSet,
     chain_transition_matrix,
@@ -139,27 +145,6 @@ def test_anisotropic_chain_rejected():
 def test_amplitude_set_requires_all_subsets():
     with pytest.raises(ValueError):
         TransferAmplitudeSet(block_size=2, entries={(1,): 1.0, (2,): 1.0})
-
-
-@st.composite
-def free_fermion_chains(draw, sizes, block_sizes):
-    """Random zero-anisotropy chains: couplings in [0.05, 2], fields in [-1, 1], the
-    two block-wire bonds sharing one coupling J0."""
-    N = draw(sizes)
-    n = draw(block_sizes(N))
-    unit = st.floats(0.05, 2.0, allow_nan=False)
-    couplings = draw(st.lists(unit, min_size=N - 1, max_size=N - 1))
-    couplings[N - n - 1] = couplings[n - 1]
-    fields = draw(st.lists(st.floats(-1.0, 1.0, allow_nan=False), min_size=N, max_size=N))
-    spec = ChainSpec(
-        N=N,
-        couplings=couplings,
-        fields=fields,
-        sender_sites=tuple(range(1, n + 1)),
-        receiver_sites=tuple(range(N - n + 1, N + 1)),
-        J0=couplings[n - 1],
-    )
-    return spec, n
 
 
 _TIMES = st.floats(0.0, 50.0, allow_nan=False)

@@ -153,6 +153,27 @@ def test_out_file_mode_and_symlink_match_plain_open(tmp_path):
     assert link.is_symlink() and written.read_text() == "y\n"
 
 
+def test_out_in_missing_directory_exits_before_any_work(weak15, tmp_path, monkeypatch, capsys):
+    def no_scan(*args, **kwargs):
+        raise AssertionError("the scan ran before --out was checked")
+
+    monkeypatch.setattr(cli, "fidelity_scan", no_scan)
+    (tmp_path / "file").write_text("")
+    for out in (tmp_path / "missing" / "x.json", tmp_path / "file" / "x.json", tmp_path):
+        assert run(["make-spec", "--N", 6, "--n", 2, "--out", out]) == 2
+        assert run(["scan", "--spec", weak15, "--tmax", 50, "--grid", 5, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+    assert not (tmp_path / "missing").exists()
+
+
+def test_unwritable_out_exits_2(tmp_path, capsys):
+    out = tmp_path / ("x" * 255)  # the name fits, the temporary file's name does not
+    assert run(["make-spec", "--N", 6, "--n", 2, "--out", out]) == 2
+    assert capsys.readouterr().err.startswith("error: cannot write output:")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_scan_rejects_anisotropy(tmp_path):
     spec = ChainSpec.from_dict({**ChainSpec.uniform(6, n=2).to_dict(), "delta": 0.4})
     path = tmp_path / "aniso.json"

@@ -1,6 +1,12 @@
+import tracemalloc
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from helpers import free_fermion_chains, map_by_environment_loop
 from spintransfer.amplitudes import chain_transition_matrix
 from spintransfer.chain import ChainSpec
 from spintransfer.dynmap import (
@@ -19,6 +25,12 @@ from spintransfer.dynmap import (
 )
 from spintransfer.errors import MapValidationError
 from spintransfer.fidelity import avg_fidelity_from_map, independent_channels_fidelity
+from spintransfer.oracle import (
+    _chunk_size,
+    haar_states,
+    receiver_amplitude_tensor,
+    sample_fidelity_values,
+)
 
 # Nonzero element pattern of the two-site-block transfer map: row (i,j), column
 # (n,m), flattened as 4*i+j / 4*n+m.  Everything else must vanish identically.
@@ -217,3 +229,112 @@ def test_amplitude_route_equals_map_route():
             via_amp = avg_fidelity_from_amplitudes(amps, 2**n)
             via_map = avg_fidelity_from_map(map_from_evolution(spec, n, t))
             assert abs(via_amp - via_map) <= 1e-9
+
+
+def _anisotropic(N: int, n: int, delta: float) -> ChainSpec:
+    return replace(ChainSpec.uniform(N, n=n), delta=delta)
+
+
+# Maps of every kernel shape d = 2, 4, 8, 16.
+KERNEL_MAPS = {
+    "classical-2": lambda: classical_transfer_map(2),
+    "classical-4": lambda: classical_transfer_map(4),
+    "classical-8": lambda: classical_transfer_map(8),
+    "classical-16": lambda: classical_transfer_map(16),
+    "independent-n1": lambda: independent_channels_map(0.6, 1),
+    "independent-n2": lambda: independent_channels_map(0.6, 2),
+    "independent-n3": lambda: independent_channels_map(0.6, 3),
+    "independent-n4": lambda: independent_channels_map(0.6, 4),
+    "uniform8-n3": lambda: map_from_evolution(ChainSpec.uniform(8, n=3), 3, 4.7),
+    "delta10-n3": lambda: map_from_evolution(_anisotropic(10, 3, 0.3), 3, 7.5),
+    "delta10-n4": lambda: map_from_evolution(_anisotropic(10, 4, 0.3), 4, 7.5),
+}
+
+
+def _direct_fidelity(m: DynamicalMap, psi: np.ndarray) -> float:
+    return np.vdot(psi, apply_map(m, np.outer(psi, psi.conj())) @ psi).real
+
+
+@pytest.mark.parametrize("name", KERNEL_MAPS)
+def test_evaluator_matches_direct_application_on_every_batch_shape(name):
+    m = KERNEL_MAPS[name]()
+    ev = fidelity_evaluator(m)
+    rng = np.random.default_rng(8)
+    for batch in (haar_states(m.d, 1, rng), haar_states(m.d, 3, rng)):
+        direct = [_direct_fidelity(m, psi) for psi in batch]
+        np.testing.assert_allclose(ev(batch), direct, rtol=0.0, atol=1e-12)
+    psi = haar_states(m.d, 1, rng)[0]
+    np.testing.assert_allclose(ev(psi), [_direct_fidelity(m, psi)], rtol=0.0, atol=1e-12)
+
+    # More than one chunk through the sampler: check the states at both ends
+    # of every chunk and a stride through the rest.
+    seen = []
+
+    def recording(states):
+        seen.append(states)
+        return ev(states)
+
+    chunk = _chunk_size(m.d)
+    values = sample_fidelity_values(recording, m.d, chunk + 3, seed=5)
+    assert [len(s) for s in seen] == [chunk, 3]
+    states = np.concatenate(seen)
+    picked = np.unique(np.r_[0 : chunk + 3 : chunk // 200, chunk - 2 : chunk + 3])
+    direct = [_direct_fidelity(m, states[k]) for k in picked]
+    np.testing.assert_allclose(values[picked], direct, rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "spec, n",
+    [(ChainSpec.uniform(8, n=3), 3), (_anisotropic(10, 3, 0.3), 3), (_anisotropic(10, 4, 0.3), 4)],
+    ids=["uniform8-n3", "delta10-n3", "delta10-n4"],
+)
+def test_map_assembly_matches_environment_loop(spec, n):
+    for t in (0.0, 2.2, 7.5):
+        loop = map_by_environment_loop(receiver_amplitude_tensor(spec, n, t))
+        assert np.max(np.abs(map_from_evolution(spec, n, t).elements - loop)) <= 1e-13
+
+
+def test_evaluator_holds_at_most_two_state_arrays():
+    """One evaluate call on a full d=16 chunk allocates about two (batch, d^2) complex arrays."""
+    d = 16
+    batch = _chunk_size(d)
+    ev = fidelity_evaluator(independent_channels_map(0.6, 4))
+    states = haar_states(d, batch, np.random.default_rng(2))
+    unit = batch * d * d * np.dtype(complex).itemsize
+    tracemalloc.start()
+    try:
+        ev(states)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.25 * unit, f"peak {peak / unit:.2f} arrays of batch x d^2"
+
+
+@st.composite
+def anisotropic_chains(draw):
+    """Random chains with N in 4..10, n in 1..3 and zz-anisotropy delta in [-1, 1]."""
+    spec, n = draw(
+        free_fermion_chains(st.integers(4, 10), lambda N: st.integers(1, min(3, N // 2)))
+    )
+    return replace(spec, delta=draw(st.floats(-1.0, 1.0))), n
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(chain=anisotropic_chains(), t=st.floats(0.0, 50.0))
+def test_evolution_maps_of_random_chains_are_cptp_and_round_trip(chain, t):
+    spec, n = chain
+    m = map_from_evolution(spec, n, t)
+    report = validate_cptp(m)
+    assert report.passed, report.failures
+    again = DynamicalMap.from_json(m.to_json())
+    assert again.elements.tobytes() == m.elements.tobytes()
+    assert (again.d, again.basis_order) == (m.d, m.basis_order)
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(chain=anisotropic_chains())
+def test_chain_spec_json_round_trips(chain):
+    spec, _ = chain
+    again = ChainSpec.from_json(spec.to_json())
+    assert again == spec
+    assert again.to_json() == spec.to_json()
