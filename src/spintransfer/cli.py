@@ -16,7 +16,7 @@ import math
 import os
 import stat
 import sys
-from dataclasses import dataclass, fields
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -55,6 +55,8 @@ EXIT_STATISTICAL = 4
 # A scan holds about 2**n numbers per grid point (one series per subset plus
 # their moduli); grids with more cells than this are rejected before any work.
 MAX_SCAN_CELLS = 1 << 26
+# Commands that build a dynamical map hold its 4**n complex elements: 268 MB at this cap.
+MAX_MAP_QUBITS = 6
 _CSV_BLOCK_ROWS = 1 << 10  # rows turned into Python floats and joined at a time
 
 _NUMERICAL_ERRORS = (
@@ -71,61 +73,6 @@ class ConfigError(ValueError):
     pass
 
 
-@dataclass
-class ExperimentConfig:
-    """Merged command parameters: config-file values overridden by CLI flags."""
-
-    spec: str | None = None
-    n: int | None = None
-    tmax: float | None = None
-    grid: int | None = None
-    samples: int | None = None
-    seed: int | None = None
-    out: str | None = None
-    format: str = "csv"
-    engineer: str | None = None
-    t: float | None = None
-    n_list: str | None = None
-    N: int | None = None
-    J0: float | None = None
-    sender_coupling: float | None = None
-    field: float = 0.0
-    delta: float = 0.0
-    amplitude: float | None = None
-    identity: bool = False
-    product: bool = False
-
-    @classmethod
-    def merge(cls, file_values: dict, flag_values: dict) -> "ExperimentConfig":
-        kinds = {f.name: f.type for f in fields(cls)}
-        unknown = set(file_values) - set(kinds)
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        for name, value in file_values.items():
-            if not _is_kind(value, kinds[name]):
-                raise ConfigError(f"config value {name}={value!r} is not of type {kinds[name]}")
-        merged = dict(file_values)
-        merged.update({k: v for k, v in flag_values.items() if v is not None and v is not False})
-        if merged.get("format", "csv") not in ("csv", "json"):
-            raise ConfigError(f"format must be csv or json, got {merged['format']!r}")
-        if merged.get("out") is not None:
-            _check_out_path(merged["out"])
-        try:
-            return cls(**merged)
-        except TypeError as exc:
-            raise ConfigError(str(exc)) from exc
-
-
-def _is_kind(value, annotation: str) -> bool:
-    """Whether a config-file value fits a field annotated e.g. 'int | None'; floats accept ints."""
-    kind, _, optional = annotation.partition(" | ")
-    if value is None:
-        return bool(optional)
-    if isinstance(value, bool):
-        return kind == "bool"
-    return isinstance(value, {"int": int, "float": (int, float), "str": str, "bool": bool}[kind])
-
-
 def _check_out_path(out: str) -> None:
     """Reject, before any work, an --out that is a directory or lies in a missing directory."""
     target = os.path.realpath(out)  # _write writes through symlinks, so check where it lands
@@ -140,10 +87,9 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _load_chain(config: ExperimentConfig) -> ChainSpec:
-    if config.spec is None:
+def _load_chain(text: str | None) -> ChainSpec:
+    if text is None:
         raise ConfigError("a chain spec is required (--spec PATH or inline JSON)")
-    text = config.spec
     if not text.lstrip().startswith("{"):
         try:
             with open(text, encoding="utf-8") as fh:
@@ -157,38 +103,38 @@ def _load_chain(config: ExperimentConfig) -> ChainSpec:
     return spec
 
 
-def _apply_engineering(spec: ChainSpec, config: ExperimentConfig):
+def _apply_engineering(spec: ChainSpec, engineer: str | None):
     """Retune the intra-block couplings onto a wire level; returns (spec, J_s or None)."""
-    if config.engineer is None:
+    if engineer is None:
         return spec, None
     try:
-        k_str, s_str = config.engineer.split(",")
+        k_str, s_str = engineer.split(",")
         k, s = int(k_str), int(s_str)
     except ValueError as exc:
-        raise ConfigError(f"--engineer expects 'k,s', got {config.engineer!r}") from exc
+        raise ConfigError(f"--engineer expects 'k,s', got {engineer!r}") from exc
     js = engineered_sender_coupling(spec.wire_length, k, s)
     return spec.with_sender_coupling(js), js
 
 
-def _write(config: ExperimentConfig, chunks) -> None:
+def _write(out: str | None, chunks) -> None:
     """Write text chunks to --out, or to stdout when it is omitted: the only output path.
 
     A regular --out file is written to a temporary file beside it and renamed
     into place, so a failure partway leaves no partial output and an existing
     file untouched.  Devices and pipes (e.g. /dev/null) are written in place.
     """
-    if config.out is None:
+    if out is None:
         sys.stdout.writelines(chunks)
         return
     try:
-        existing = os.stat(config.out)
+        existing = os.stat(out)
     except FileNotFoundError:
         existing = None
     if existing is not None and not stat.S_ISREG(existing.st_mode):
-        with open(config.out, "w", encoding="utf-8") as fh:
+        with open(out, "w", encoding="utf-8") as fh:
             fh.writelines(chunks)
         return
-    target = os.path.realpath(config.out)  # like open(), write through a symlink
+    target = os.path.realpath(out)  # like open(), write through a symlink
     head, name = os.path.split(target)
     tmp = os.path.join(head, f".{name}.{os.urandom(6).hex()}.tmp")
     # O_EXCL never follows or reuses an existing path; 0o666 less the umask is
@@ -205,13 +151,13 @@ def _write(config: ExperimentConfig, chunks) -> None:
         raise
 
 
-def _emit_table(config: ExperimentConfig, columns: dict) -> None:
+def _emit_table(out: str | None, fmt: str, columns: dict) -> None:
     """Stream an ordered name -> column mapping as CSV rows or as a JSON dict of columns."""
     columns = {name: np.asarray(col, dtype=float) for name, col in columns.items()}
-    if config.format == "csv":
-        _write(config, _csv_lines(columns))
+    if fmt == "csv":
+        _write(out, _csv_lines(columns))
     else:
-        _emit_json(config, columns)
+        _emit_json(out, columns)
 
 
 def _csv_lines(columns: dict):
@@ -228,10 +174,10 @@ def _csv_lines(columns: dict):
         yield "".join(line % row for row in zip(*block))
 
 
-def _emit_json(config: ExperimentConfig, obj) -> None:
+def _emit_json(out: str | None, obj) -> None:
     """Stream obj as indented JSON; numpy arrays become lists only while they are encoded."""
     encoder = json.JSONEncoder(indent=2, default=np.ndarray.tolist)
-    _write(config, itertools.chain(encoder.iterencode(obj), ["\n"]))
+    _write(out, itertools.chain(encoder.iterencode(obj), ["\n"]))
 
 
 # ---------------------------------------------------------------------------
@@ -239,30 +185,24 @@ def _emit_json(config: ExperimentConfig, obj) -> None:
 # ---------------------------------------------------------------------------
 
 
-def cmd_make_spec(config: ExperimentConfig) -> int:
+def cmd_make_spec(config: argparse.Namespace) -> int:
     if config.N is None or config.n is None:
         raise ConfigError("make-spec needs --N and --n")
     wire = config.N - 2 * config.n
-    if wire < 0:
-        raise ConfigError(f"N={config.N} too short for two blocks of {config.n} sites")
-    j0 = config.J0 if config.J0 is not None else 1.0
-    sender = config.sender_coupling if config.sender_coupling is not None else 1.0
-    spec = ChainSpec.weak_coupling(
-        wire_length=wire, n=config.n, J0=j0, sender_coupling=sender, field=config.field
-    )
-    if config.engineer is not None:
-        spec, _ = _apply_engineering(spec, config)
+    if config.n < 1 or wire < 0:
+        raise ConfigError(f"N={config.N} does not fit two blocks of n={config.n} sites (n >= 1)")
+    spec = ChainSpec.weak_coupling(wire, config.n, config.J0, config.sender_coupling, config.field)
+    spec, _ = _apply_engineering(spec, config.engineer)
     if config.delta:
         spec = ChainSpec.from_dict({**spec.to_dict(), "delta": config.delta})
-    _write(config, [spec.to_json(), "\n"])
+    _write(config.out, [spec.to_json(), "\n"])
     return EXIT_OK
 
 
-def cmd_spectrum(config: ExperimentConfig) -> int:
-    spec = _load_chain(config)
-    spec, js = _apply_engineering(spec, config)
-    n = config.n if config.n is not None else spec.block_size
-    if n != spec.block_size or 2 * n > spec.N or spec.N < 2:
+def cmd_spectrum(config: argparse.Namespace) -> int:
+    spec, js = _apply_engineering(_load_chain(config.spec), config.engineer)
+    n = spec.block_size
+    if 2 * n > spec.N or spec.N < 2:
         raise ConfigError(f"block size n={n} does not fit this chain (N={spec.N})")
     decomp = spectral(spec)
     payload: dict = {
@@ -282,16 +222,13 @@ def cmd_spectrum(config: ExperimentConfig) -> int:
         "regime": report.regime.value,
         "note": report.note,
     }
-    _emit_json(config, payload)
+    _emit_json(config.out, payload)
     return EXIT_OK
 
 
-def cmd_scan(config: ExperimentConfig) -> int:
-    spec = _load_chain(config)
-    spec, _ = _apply_engineering(spec, config)
-    n = config.n if config.n is not None else spec.block_size
-    if n != spec.block_size:
-        raise ConfigError(f"--n {n} does not match the spec's block size {spec.block_size}")
+def cmd_scan(config: argparse.Namespace) -> int:
+    spec, _ = _apply_engineering(_load_chain(config.spec), config.engineer)
+    n = spec.block_size
     if config.tmax is not None:
         tmax = config.tmax
         if not (math.isfinite(tmax) and tmax > 0):
@@ -321,38 +258,37 @@ def cmd_scan(config: ExperimentConfig) -> int:
         columns["abs_f_" + "".join(map(str, s))] = np.abs(series)
     if n == 1:
         columns["F_phase_aligned"] = phase_aligned_fidelity(scan.amplitudes[(1,)])
-    _emit_table(config, columns)
+    _emit_table(config.out, config.format, columns)
     return EXIT_OK
 
 
-def _parse_n_list(config: ExperimentConfig) -> list[int]:
-    if config.n is not None:
-        return [config.n]
-    if config.n_list is not None:
-        try:
-            ns = [int(x) for x in str(config.n_list).split(",") if x.strip()]
-        except ValueError as exc:
-            raise ConfigError(f"bad --n-list {config.n_list!r}") from exc
-    else:
-        ns = [1, 2, 3, 4]
-    if not ns or any(n < 1 for n in ns):
-        raise ConfigError("channel counts must be positive")
-    return ns
+def _check_map_qubits(n: int) -> None:
+    if not 1 <= n <= MAX_MAP_QUBITS:
+        raise ConfigError(
+            f"a map on n={n} qubits: n must be 1 to {MAX_MAP_QUBITS} (4**n complex elements)"
+        )
 
 
-def cmd_independent(config: ExperimentConfig) -> int:
-    ns = _parse_n_list(config)
+def cmd_independent(config: argparse.Namespace) -> int:
+    try:
+        ns = [int(x) for x in config.n_list.split(",") if x.strip()]
+    except ValueError as exc:
+        raise ConfigError(f"bad --n-list {config.n_list!r}") from exc
+    if not ns:
+        raise ConfigError("--n-list names no channel count")
+    for n in ns:
+        _check_map_qubits(n)
     points = config.grid if config.grid is not None else 201
     if points < 2:
         raise ConfigError("--grid must be at least 2")
     f_grid = np.linspace(0.0, 1.0, points)
+    one_qubit = [stats_from_map(independent_channels_map(f, 1)) for f in f_grid]
     names = ["n", "f", "F_n", "F1_pow_n", "R_f", "R_F", "variance_full", "variance_product", "cv"]
     rows = []
     for n in ns:
         d = 2**n
-        for f in f_grid:
+        for f, stats1 in zip(f_grid, one_qubit):
             stats = stats_from_map(independent_channels_map(f, n))
-            stats1 = stats_from_map(independent_channels_map(f, 1))
             F = stats.mean
             r_F = product_ratio_vs_fidelity(F, n) if F > 1.0 / d + 1e-15 else float("nan")
             rows.append(
@@ -368,7 +304,7 @@ def cmd_independent(config: ExperimentConfig) -> int:
                     stats.cv,
                 ]
             )
-    _emit_table(config, dict(zip(names, zip(*rows))))
+    _emit_table(config.out, config.format, dict(zip(names, zip(*rows))))
     return EXIT_OK
 
 
@@ -388,59 +324,60 @@ def _mc_block(result: McResult, mean_ref: float, m2_ref: float) -> dict:
     }
 
 
-def cmd_montecarlo(config: ExperimentConfig) -> int:
+def cmd_montecarlo(config: argparse.Namespace) -> int:
     if config.seed is None:
         raise ConfigError("--seed is mandatory for Monte Carlo runs")
-    samples = config.samples if config.samples is not None else 100_000
-    if samples < 1:
+    if config.samples < 1:
         raise ConfigError("--samples must be positive")
 
     sources = [config.identity, config.amplitude is not None, config.spec is not None]
     if sum(sources) != 1:
         raise ConfigError("choose exactly one map source: --identity, --amplitude or --spec")
+    if config.product and config.amplitude is None:
+        raise ConfigError("--product requires --amplitude (independent channels)")
 
-    if config.identity:
+    if config.spec is None:
+        if config.t is not None or config.engineer is not None:
+            raise ConfigError("--t and --engineer apply only to --spec maps")
         if config.n is None:
-            raise ConfigError("--identity needs --n (block size)")
-        m = identity_map(2**config.n)
-        description = f"identity({2 ** config.n})"
-        n_qubits = config.n
-    elif config.amplitude is not None:
-        if config.n is None:
-            raise ConfigError("--amplitude needs --n (number of channels)")
-        m = independent_channels_map(config.amplitude, config.n)
-        description = f"independent_channels(f={_fmt(config.amplitude)}, n={config.n})"
+            raise ConfigError("--identity and --amplitude need --n (number of qubits)")
         n_qubits = config.n
     else:
-        spec = _load_chain(config)
-        spec, _ = _apply_engineering(spec, config)
+        spec, _ = _apply_engineering(_load_chain(config.spec), config.engineer)
         n_qubits = config.n if config.n is not None else spec.block_size
         if config.t is None:
             raise ConfigError("--t (evolution time) is required with --spec")
+    _check_map_qubits(n_qubits)
+
+    if config.identity:
+        m = identity_map(2**n_qubits)
+        description = f"identity({2 ** n_qubits})"
+    elif config.amplitude is not None:
+        m = independent_channels_map(config.amplitude, n_qubits)
+        description = f"independent_channels(f={_fmt(config.amplitude)}, n={n_qubits})"
+    else:
         m = map_from_evolution(spec, n_qubits, config.t)
         description = f"chain(N={spec.N}, n={n_qubits}, t={_fmt(config.t)})"
 
     mean_ref = avg_fidelity_from_map(m)
     m2_ref = second_moment_from_map(m)
     evaluator = fidelity_evaluator(m)
-    haar = haar_sample_fidelity(evaluator, m.d, samples, config.seed)
+    haar = haar_sample_fidelity(evaluator, m.d, config.samples, config.seed)
     report = {
         "map": description,
         "d": m.d,
-        "samples": samples,
+        "samples": config.samples,
         "seed": config.seed,
         "analytic": {"mean": mean_ref, "second_moment": m2_ref},
         "haar": _mc_block(haar, mean_ref, m2_ref),
     }
 
     if config.product:
-        if config.amplitude is None:
-            raise ConfigError("--product requires --amplitude (independent channels)")
         stats1 = stats_from_map(independent_channels_map(config.amplitude, 1))
         prod_mean = stats1.mean**n_qubits
         prod_m2 = stats1.second_moment**n_qubits
         prod_values = sample_fidelity_values(
-            evaluator, m.d, samples, config.seed + 1, product_of=n_qubits
+            evaluator, m.d, config.samples, config.seed + 1, product_of=n_qubits
         )
         prod = McResult.from_values(prod_values, config.seed + 1)
         report["product"] = _mc_block(prod, prod_mean, prod_m2)
@@ -451,7 +388,7 @@ def cmd_montecarlo(config: ExperimentConfig) -> int:
     if config.product:
         zs += [report["product"]["z_mean"], report["product"]["z_second_moment"]]
     report["passed"] = bool(all(z <= 5.0 for z in zs))
-    _emit_json(config, report)
+    _emit_json(config.out, report)
     return EXIT_OK if report["passed"] else EXIT_STATISTICAL
 
 
@@ -460,17 +397,65 @@ def cmd_montecarlo(config: ExperimentConfig) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="JSON file with parameters; flags override it")
-    p.add_argument("--spec", help="chain spec: path to JSON file, or inline JSON")
-    p.add_argument("--n", type=int, help="block size / number of channels")
-    p.add_argument("--tmax", type=float, help="scan window upper edge (units 1/J)")
-    p.add_argument("--grid", type=int, help="number of grid points")
-    p.add_argument("--samples", type=int, help="Monte Carlo sample count")
-    p.add_argument("--seed", type=int, help="RNG seed")
-    p.add_argument("--out", help="output path (stdout when omitted)")
-    p.add_argument("--format", choices=("csv", "json"), help="table output format")
-    p.add_argument("--engineer", metavar="K,S", help="retune block couplings onto wire level K")
+class _Option(NamedTuple):
+    kind: type  # str, int, float or bool (a bool option is a switch)
+    default: object
+    help: str
+    choices: tuple | None = None
+
+    def accepts(self, value) -> bool:
+        """Whether a config-file value fits: floats accept ints, ints and floats reject bools."""
+        if value is None:
+            return self.default is None
+        if isinstance(value, bool):
+            return self.kind is bool
+        if self.choices is not None:
+            return value in self.choices
+        return isinstance(value, (int, float) if self.kind is float else self.kind)
+
+
+_OPTIONS = {
+    "spec": _Option(str, None, "chain spec: path to JSON file, or inline JSON"),
+    "n": _Option(int, None, "block size / number of channels"),
+    "N": _Option(int, None, "total number of sites"),
+    "J0": _Option(float, 1.0, "block-wire coupling"),
+    "sender_coupling": _Option(float, 1.0, "intra-block coupling"),
+    "field": _Option(float, 0.0, "uniform on-site field"),
+    "delta": _Option(float, 0.0, "zz-anisotropy (exact engine only)"),
+    "engineer": _Option(str, None, "K,S: retune block level S onto wire level K"),
+    "tmax": _Option(float, None, "scan window upper edge (units 1/J); default 1.2 tau"),
+    "grid": _Option(int, None, "number of grid points (scan: step 0.2, independent: 201)"),
+    "n_list": _Option(str, "1,2,3,4", "comma-separated channel counts"),
+    "t": _Option(float, None, "evolution time of the spec map"),
+    "amplitude": _Option(float, None, "single-qubit amplitude for parallel channels"),
+    "identity": _Option(bool, False, "use the identity map"),
+    "product": _Option(bool, False, "also sample product-state inputs"),
+    "samples": _Option(int, 100_000, "Monte Carlo sample count"),
+    "seed": _Option(int, None, "RNG seed"),
+    "out": _Option(str, None, "output path (stdout when omitted)"),
+    "format": _Option(str, "csv", "table output format", ("csv", "json")),
+}
+
+
+class _Command(NamedTuple):
+    run: Callable[[argparse.Namespace], int]
+    help: str
+    options: str  # names of the options the command reads, space-separated
+
+
+_COMMANDS = {
+    "make-spec": _Command(cmd_make_spec, "write a weak-coupling chain spec as JSON",
+                          "N n J0 sender_coupling field delta engineer out"),
+    "spectrum": _Command(cmd_spectrum, "eigenvalues and resonance analysis of a chain",
+                         "spec engineer out"),
+    "scan": _Command(cmd_scan, "average transfer fidelity over a time grid",
+                     "spec engineer tmax grid out format"),
+    "independent": _Command(cmd_independent,
+                            "parallel-channel fidelity analytics on an amplitude grid",
+                            "n_list grid out format"),
+    "montecarlo": _Command(cmd_montecarlo, "Monte Carlo cross-check of the closed-form moments",
+                           "spec n engineer t amplitude identity product samples seed out"),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -479,52 +464,53 @@ def build_parser() -> argparse.ArgumentParser:
         description="Average-fidelity statistics of multi-qubit state transfer over spin chains",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("make-spec", help="write a weak-coupling chain spec as JSON")
-    _add_common(p)
-    p.add_argument("--N", type=int, help="total number of sites")
-    p.add_argument("--J0", type=float, help="block-wire coupling")
-    p.add_argument("--sender-coupling", dest="sender_coupling", type=float)
-    p.add_argument("--field", type=float, help="uniform on-site field")
-    p.add_argument("--delta", type=float, help="zz-anisotropy (exact engine only)")
-
-    p = sub.add_parser("spectrum", help="eigenvalues and resonance analysis of a chain")
-    _add_common(p)
-
-    p = sub.add_parser("scan", help="average transfer fidelity over a time grid")
-    _add_common(p)
-
-    p = sub.add_parser("independent", help="parallel-channel fidelity analytics on an amplitude grid")
-    _add_common(p)
-    p.add_argument("--n-list", dest="n_list", help="comma-separated channel counts")
-
-    p = sub.add_parser("montecarlo", help="Monte Carlo cross-check of the closed-form moments")
-    _add_common(p)
-    p.add_argument("--t", type=float, help="evolution time for --spec maps")
-    p.add_argument("--amplitude", type=float, help="single-qubit amplitude for parallel channels")
-    p.add_argument("--identity", action="store_true", help="use the identity map")
-    p.add_argument("--product", action="store_true", help="also sample product-state inputs")
-
+    for name, command in _COMMANDS.items():
+        # SUPPRESS leaves flags that were not given out of the namespace, so
+        # config-file values and table defaults show through in main.  No
+        # abbreviations: --n would otherwise be taken as --n-list.
+        p = sub.add_parser(
+            name, help=command.help, argument_default=argparse.SUPPRESS, allow_abbrev=False
+        )
+        p.add_argument("--config", help="JSON file with parameters; flags override it")
+        for dest in command.options.split():
+            option = _OPTIONS[dest]
+            help_text = option.help
+            if option.default is not None and option.kind is not bool:
+                help_text += f" (default: {option.default})"
+            flag = "--" + dest.replace("_", "-")
+            if option.kind is bool:
+                p.add_argument(flag, action="store_true", help=help_text)
+            else:
+                p.add_argument(flag, type=option.kind, choices=option.choices, help=help_text)
     return parser
 
 
-_COMMANDS = {
-    "make-spec": cmd_make_spec,
-    "spectrum": cmd_spectrum,
-    "scan": cmd_scan,
-    "independent": cmd_independent,
-    "montecarlo": cmd_montecarlo,
-}
+def _merge(names: list[str], file_values: dict, flag_values: dict) -> argparse.Namespace:
+    """A command's options: table defaults, overridden by config-file values, then by flags."""
+    unknown = set(file_values) - set(names)
+    if unknown:
+        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+    for name, value in file_values.items():
+        option = _OPTIONS[name]
+        if not option.accepts(value):
+            expected = option.choices or option.kind.__name__
+            raise ConfigError(f"config value {name}={value!r} is not of type {expected}")
+    merged = {name: _OPTIONS[name].default for name in names}
+    merged.update(file_values)
+    merged.update(flag_values)
+    if merged["out"] is not None:
+        _check_out_path(merged["out"])
+    return argparse.Namespace(**merged)
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    flag_values = {k: v for k, v in vars(args).items() if k not in ("command", "config")}
+    flag_values = vars(build_parser().parse_args(argv))
+    command = _COMMANDS[flag_values.pop("command")]
+    config_path = flag_values.pop("config", None)
     file_values: dict = {}
-    if args.config:
+    if config_path:
         try:
-            with open(args.config, encoding="utf-8") as fh:
+            with open(config_path, encoding="utf-8") as fh:
                 file_values = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             print(f"error: cannot load config: {exc}", file=sys.stderr)
@@ -534,8 +520,7 @@ def main(argv: list[str] | None = None) -> int:
             return EXIT_CONFIG
 
     try:
-        config = ExperimentConfig.merge(file_values, flag_values)
-        return _COMMANDS[args.command](config)
+        return command.run(_merge(command.options.split(), file_values, flag_values))
     except _NUMERICAL_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

@@ -104,6 +104,11 @@ def _sector(spec: ChainSpec, k: int):
     return basis, index, h, w, v
 
 
+def _real_matmul(v: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """v @ z for a real matrix v and a complex vector z, without a complex copy of v."""
+    return v @ z.real + 1j * (v @ z.imag)
+
+
 def sector_hamiltonian(spec: ChainSpec, k: int) -> np.ndarray:
     """Dense Hamiltonian of the k-excitation sector (basis: ascending k-subsets, lex order)."""
     return _sector(spec, k)[2].copy()
@@ -117,7 +122,7 @@ def evolve_block(spec: ChainSpec, state: PureState, t: float, *, excitations: in
             f"state dimension {state.dimension} does not match sector size {len(basis)}"
         )
     phases = np.exp(-1j * w * t)
-    out = v @ (phases * (v.T @ state.amplitudes))
+    out = _real_matmul(v, phases * _real_matmul(v.T, state.amplitudes))
     return PureState(dimension=state.dimension, amplitudes=out)
 
 
@@ -168,10 +173,9 @@ def receiver_amplitude_tensor(spec: ChainSpec, n: int, t: float) -> np.ndarray:
     sender_subsets = subsets_by_excitation(n)
     for p, subset in enumerate(sender_subsets):
         k = len(subset)
-        basis, index, _, w, v = _sector(spec, k)
-        psi0 = np.zeros(len(basis), dtype=complex)
-        psi0[index[subset]] = 1.0
-        psi = v @ (np.exp(-1j * w * t) * (v.T @ psi0))
+        _, index, _, w, v = _sector(spec, k)
+        # The launched basis state's eigen-coefficients are one row of v.
+        psi = _real_matmul(v, np.exp(-1j * w * t) * v[index[subset]])
         env_col, lab_col = tables[k]
         out[p][env_col, lab_col] = psi  # (env, label) splits are unique per basis state
     return out

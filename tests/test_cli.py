@@ -1,4 +1,5 @@
 import json
+import re
 import stat
 import time
 
@@ -126,17 +127,16 @@ def test_failed_out_write_leaves_old_file(tmp_path):
     out = tmp_path / "table.csv"
     out.write_text("old contents\n")
     out.chmod(0o640)
-    config = cli.ExperimentConfig(out=str(out))
 
     def chunks():
         yield "t,F_avg\n"
         raise RuntimeError("formatting failed partway")
 
     with pytest.raises(RuntimeError):
-        cli._write(config, chunks())
+        cli._write(str(out), chunks())
     assert out.read_text() == "old contents\n"
     assert list(tmp_path.iterdir()) == [out]  # no stray temporary file
-    cli._write(config, iter(["a\n", "b\n"]))
+    cli._write(str(out), iter(["a\n", "b\n"]))
     assert out.read_text() == "a\nb\n"
     assert stat.S_IMODE(out.stat().st_mode) == 0o640  # an existing file keeps its mode
 
@@ -145,11 +145,11 @@ def test_out_file_mode_and_symlink_match_plain_open(tmp_path):
     plain, written = tmp_path / "plain.csv", tmp_path / "written.csv"
     with open(plain, "w"):
         pass
-    cli._write(cli.ExperimentConfig(out=str(written)), ["x\n"])
+    cli._write(str(written), ["x\n"])
     assert stat.S_IMODE(written.stat().st_mode) == stat.S_IMODE(plain.stat().st_mode)
     link = tmp_path / "link.csv"
     link.symlink_to(written)
-    cli._write(cli.ExperimentConfig(out=str(link)), ["y\n"])
+    cli._write(str(link), ["y\n"])
     assert link.is_symlink() and written.read_text() == "y\n"
 
 
@@ -316,3 +316,123 @@ def test_json_and_csv_tables_agree(weak15, tmp_path, argv):
     csv_columns = np.array([[float(x) for x in ln.split(",")] for ln in lines]).T
     for name, column in zip(names, csv_columns):
         np.testing.assert_array_equal(np.array(data[name], dtype=float), column, err_msg=name)
+
+
+# The options each command reads (argparse dests); every command also takes --config.
+COMMAND_OPTIONS = {
+    "make-spec": {"N", "n", "J0", "sender_coupling", "field", "delta", "engineer", "out"},
+    "spectrum": {"spec", "engineer", "out"},
+    "scan": {"spec", "engineer", "tmax", "grid", "out", "format"},
+    "independent": {"n_list", "grid", "out", "format"},
+    "montecarlo": {"spec", "n", "engineer", "t", "amplitude", "identity", "product", "samples",
+                   "seed", "out"},
+}
+# Flags every command used to accept whether it read them or not.
+FORMER_COMMON_FLAGS = {"spec", "n", "tmax", "grid", "samples", "seed", "out", "format", "engineer"}
+REMOVED_FLAGS = [
+    (command, flag)
+    for command, options in COMMAND_OPTIONS.items()
+    for flag in sorted(FORMER_COMMON_FLAGS - options)
+]
+VALID_ARGV = {
+    "make-spec": ["--N", 6, "--n", 2],
+    "spectrum": ["--spec", "WEAK15"],
+    "scan": ["--spec", "WEAK15", "--tmax", 5, "--grid", 3],
+    "independent": ["--n-list", "1", "--grid", 3],
+    "montecarlo": ["--identity", "--n", 1, "--samples", 10, "--seed", 1],
+}
+FLAG_VALUES = {"spec": "WEAK15", "n": 3, "tmax": 5, "grid": 3, "samples": 10, "seed": 1,
+               "format": "json", "engineer": "2,1"}
+
+
+def test_each_command_lists_exactly_its_options(capsys):
+    assert sum(map(len, COMMAND_OPTIONS.values())) == 31 and len(REMOVED_FLAGS) == 24
+    for command, expected in COMMAND_OPTIONS.items():
+        with pytest.raises(SystemExit) as exc:
+            run([command, "--help"])
+        assert exc.value.code == 0
+        flags = re.findall(r"^  --([\w-]+)", capsys.readouterr().out, re.MULTILINE)
+        assert sorted(flags) == sorted(["config", *(o.replace("_", "-") for o in expected)])
+
+
+@pytest.mark.parametrize("command, flag", REMOVED_FLAGS,
+                         ids=[f"{c}--{f}" for c, f in REMOVED_FLAGS])
+def test_flag_the_command_does_not_read_exits_2(weak15, tmp_path, monkeypatch, capsys,
+                                                command, flag):
+    def never(config):
+        raise AssertionError(f"{command} ran")
+
+    monkeypatch.setitem(cli._COMMANDS, command, cli._COMMANDS[command]._replace(run=never))
+    out = tmp_path / "out"
+    argv = [weak15 if a == "WEAK15" else a for a in [command, *VALID_ARGV[command], "--out", out]]
+    with pytest.raises(AssertionError, match="ran"):
+        run(argv)  # without the flag the invocation reaches the command
+    value = weak15 if FLAG_VALUES[flag] == "WEAK15" else FLAG_VALUES[flag]
+    with pytest.raises(SystemExit) as exc:
+        run([*argv, "--" + flag, value])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, values",
+    [
+        (["scan", "--spec", "WEAK15", "--tmax", 50, "--grid", 5], {"seed": 3}),
+        (["scan", "--spec", "WEAK15", "--tmax", 50, "--grid", 5], {"n": 3}),
+        (["independent", "--grid", 5], {"spec": "WEAK15"}),
+        (["make-spec", "--N", 6, "--n", 2], {"format": "json"}),
+        (["montecarlo", "--identity", "--n", 1, "--seed", 3], {"tmax": 5.0}),
+    ],
+)
+def test_config_key_of_another_command_rejected(weak15, tmp_path, capsys, argv, values):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({k: str(weak15) if v == "WEAK15" else v for k, v in values.items()}))
+    out = tmp_path / "out"
+    argv = [weak15 if a == "WEAK15" else a for a in argv]
+    assert run([*argv, "--config", cfg, "--out", out]) == 2
+    assert capsys.readouterr().err.startswith("error: unknown config keys")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--identity", "--n", 1, "--t", 5],
+        ["--identity", "--n", 1, "--engineer", "2,1"],
+        ["--amplitude", 0.5, "--n", 1, "--t", 5],
+        ["--identity", "--n", 1, "--product"],
+    ],
+)
+def test_montecarlo_source_options_are_checked_before_sampling(tmp_path, monkeypatch, argv):
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampled before the options were checked")
+
+    monkeypatch.setattr(cli, "haar_sample_fidelity", no_sampling)
+    out = tmp_path / "mc.json"
+    assert run(["montecarlo", *argv, "--seed", 1, "--samples", 10, "--out", out]) == 2
+    assert not out.exists()
+
+
+def test_block_sizes_out_of_range_exit_2_before_any_work(tmp_path, monkeypatch, capsys):
+    def no_map(*args, **kwargs):
+        raise AssertionError("a map was built")
+
+    for name in ("independent_channels_map", "identity_map", "map_from_evolution"):
+        monkeypatch.setattr(cli, name, no_map)
+    big = cli.MAX_MAP_QUBITS + 1
+    spec = ChainSpec.weak_coupling(2, big, 0.01).to_json()
+    out = tmp_path / "out"
+    for argv in (
+        ["independent", "--n-list", f"1,{big}", "--grid", 2],
+        ["independent", "--n-list", "0,1", "--grid", 2],
+        ["montecarlo", "--identity", "--n", big, "--seed", 1, "--samples", 1],
+        ["montecarlo", "--identity", "--n", 0, "--seed", 1, "--samples", 1],
+        ["montecarlo", "--amplitude", 0.5, "--n", big, "--seed", 1, "--samples", 1],
+        ["montecarlo", "--amplitude", 0.5, "--n", -1, "--seed", 1, "--samples", 1],
+        ["montecarlo", "--spec", spec, "--t", 1.0, "--seed", 1, "--samples", 1],
+        ["make-spec", "--N", 6, "--n", 0],
+    ):
+        assert run([*argv, "--out", out]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+        assert not out.exists()

@@ -1,3 +1,6 @@
+import tracemalloc
+from math import comb
+
 import numpy as np
 import pytest
 
@@ -14,6 +17,7 @@ from spintransfer.oracle import (
     _sector,
     evolve_block,
     haar_sample_fidelity,
+    receiver_amplitude_tensor,
     sample_fidelity_values,
     sector_hamiltonian,
     transfer_fidelity_exact,
@@ -59,6 +63,19 @@ def test_cached_sector_arrays_are_read_only():
     for array in (h, w, v):
         with pytest.raises(ValueError):
             array[0] = 0.0
+
+
+def test_warm_tensor_makes_no_complex_copy_of_the_eigenvectors():
+    spec = ChainSpec.uniform(14, n=4)
+    receiver_amplitude_tensor(spec, 4, 2.5)  # fills the sector caches
+    tracemalloc.start()
+    try:
+        receiver_amplitude_tensor(spec, 4, 2.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    dim = comb(14, 4)
+    assert peak <= 0.5 * 16 * dim**2  # a complex copy of the 1001 x 1001 v is 16 dim^2 bytes
 
 
 def test_norm_and_energy_conservation():
