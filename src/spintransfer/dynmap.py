@@ -25,12 +25,15 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .amplitudes import AmplitudeMatrix, multi_amplitude
-from .chain import ChainSpec
+from .amplitudes import AmplitudeMatrix, multi_amplitude, transfer_block_series
+from .basis import block_index, subsets_by_excitation
+from .chain import ChainSpec, spectral
 from .errors import MapConstructionError, MapValidationError
+from .linalg import compound_matrix
 from .oracle import receiver_amplitude_tensor
 
 VALIDATION_TOL = 1e-8
@@ -125,9 +128,13 @@ def _algebraic_deviations(m: DynamicalMap) -> dict[str, float]:
     }
 
 
-def _choi_min_eigenvalue(m: DynamicalMap) -> float:
+def _choi_eigenvalues(m: DynamicalMap) -> np.ndarray:
     choi = choi_matrix(m)
-    return float(np.linalg.eigvalsh((choi + choi.conj().T) / 2.0)[0])
+    return np.linalg.eigvalsh((choi + choi.conj().T) / 2.0)
+
+
+def _choi_min_eigenvalue(m: DynamicalMap) -> float:
+    return float(_choi_eigenvalues(m)[0])
 
 
 def validate_cptp(m: DynamicalMap, tolerance: float = VALIDATION_TOL) -> CptpReport:
@@ -151,10 +158,11 @@ def choi_matrix(m: DynamicalMap) -> np.ndarray:
     return m.as_tensor().conj().transpose(2, 0, 3, 1).reshape(d**2, d**2)
 
 
-def _check_constructed(m: DynamicalMap, what: str) -> DynamicalMap:
+def _check_constructed(m: DynamicalMap, what: str, choi_min=_choi_min_eigenvalue) -> DynamicalMap:
+    """Raise unless m is physical; `choi_min(m)` gives its least Choi eigenvalue."""
     worst = max(_algebraic_deviations(m).values())
     if m.d <= _CHOI_AUTOCHECK_MAX_D:
-        worst = max(worst, -_choi_min_eigenvalue(m))
+        worst = max(worst, -choi_min(m))
     if worst > VALIDATION_TOL:
         raise MapConstructionError(f"{what} produced an unphysical map (violation {worst:.3e})")
     return m
@@ -270,22 +278,76 @@ def two_qubit_map(F: AmplitudeMatrix, N: int) -> DynamicalMap:
     )
 
 
+@lru_cache(maxsize=8)
+def _laplace_tables(n: int):
+    """Index tables of the signed gather K[(P, i), c] = sign * det B[P - c, i].
+
+    One row per sender subset P and subset c of P, as block basis indices:
+    P, c, the Laplace row set P - c, and the sign of the shuffle that moves
+    the rows P - c below the rows c.
+    """
+    subsets = subsets_by_excitation(n)
+    index = block_index(n)
+    rows = []
+    for p, P in enumerate(subsets):
+        for c, C in enumerate(subsets):
+            if set(C) <= set(P):
+                laplace = tuple(s for s in P if s not in C)
+                inversions = sum(1 for a in laplace for b in C if a < b)
+                rows.append((p, c, index[laplace], (-1) ** inversions))
+    tables = tuple(np.array(col) for col in zip(*rows))
+    for array in tables:
+        array.flags.writeable = False
+    return tables
+
+
+def _map_elements_from_block(block: np.ndarray) -> np.ndarray:
+    """Stored d^2 x d^2 map of a zero-anisotropy chain from its block B(t).
+
+    Sender state P ends with the environment in E and the receiver in label
+    state i with amplitude det F[P, E + R_i].  The receiver sites are the
+    highest-indexed, so a Laplace expansion along the R_i columns gives
+    sum over c in P of sign * det B[P - c, i] * det F[c, E].  Summed over E,
+    a product of two such amplitudes becomes det G[c, c'] by Cauchy-Binet,
+    with G = I - B B^dagger by the unitarity of F.  So the Gram matrix of
+    all amplitudes is K C(G) K^dagger, where C(.) is the compound matrix and
+    K the signed gather of C(B).
+    """
+    n = block.shape[-1]
+    d = 2**n
+    p_idx, c_idx, laplace_idx, sign = _laplace_tables(n)
+    gather = np.zeros((d, d, d), dtype=complex)  # [P, i, c]
+    gather[p_idx, :, c_idx] = sign[:, None] * compound_matrix(block)[laplace_idx]
+    k = gather.reshape(d * d, d)
+    gram = (k @ compound_matrix(np.eye(n) - block @ block.conj().T)) @ k.conj().T
+    np.conjugate(gram, out=gram)  # the stored map is conj(gram[(P, i), (Q, j)])
+    return gram.reshape(d, d, d, d).transpose(1, 3, 0, 2).reshape(d * d, d * d)
+
+
 def map_from_evolution(spec: ChainSpec, n: int, t: float) -> DynamicalMap:
-    """Transfer map of an n-site block obtained by exact chain evolution.
+    """Transfer map of an n-site block after evolving the chain for time t.
 
     Each sender basis state is propagated on the polarised chain and the
     receiver block is traced out against a shared environment index; columns
-    of the map are exact by linearity.
+    of the map are exact by linearity.  At zero anisotropy the whole map is a
+    function of the n x n sender -> receiver block B(t) of the one-excitation
+    propagator (see _map_elements_from_block), so its cost does not grow with
+    N; chains with delta != 0 are evolved exactly in the excitation sectors
+    of the oracle module, which caps N through the sector dimension.
     """
-    tensor = receiver_amplitude_tensor(spec, n, t)  # [p, env, receiver label]
+    if n != spec.block_size:
+        raise ValueError(f"block size mismatch: spec has {spec.block_size}, got {n}")
     d = 2**n
-    # Rows: environment configurations; column (p, label).  The map is the
-    # Gram matrix sum_e conj T[n,e,i] T[m,e,j], one d^2 x d^2 GEMM.
-    flat = tensor.transpose(1, 0, 2).reshape(tensor.shape[1], d * d)
-    stored = (flat.conj().T @ flat).reshape(d, d, d, d).transpose(1, 3, 0, 2)
-    return _check_constructed(
-        DynamicalMap(d=d, elements=stored.reshape(d**2, d**2)), "map_from_evolution"
-    )
+    if spec.delta == 0.0:
+        elements = _map_elements_from_block(transfer_block_series(spectral(spec), n, [t])[0])
+    else:
+        tensor = receiver_amplitude_tensor(spec, n, t)  # [p, env, receiver label]
+        # Rows: environment configurations; column (p, label).  The map is the
+        # Gram matrix sum_e conj T[n,e,i] T[m,e,j], one d^2 x d^2 GEMM.
+        flat = tensor.transpose(1, 0, 2).reshape(tensor.shape[1], d * d)
+        elements = (flat.conj().T @ flat).reshape(d, d, d, d).transpose(1, 3, 0, 2)
+        elements = elements.reshape(d**2, d**2)  # a copy; the Gram matrix is freed
+    return _check_constructed(DynamicalMap(d=d, elements=elements), "map_from_evolution")
 
 
 def tensor_product(a: DynamicalMap, b: DynamicalMap) -> DynamicalMap:
@@ -296,7 +358,17 @@ def tensor_product(a: DynamicalMap, b: DynamicalMap) -> DynamicalMap:
     return _check_constructed(
         DynamicalMap(d=d, elements=composite.reshape(d**2, d**2), basis_order="product-lex"),
         "tensor_product",
+        lambda _: _product_choi_min_eigenvalue(a, b),
     )
+
+
+def _product_choi_min_eigenvalue(a: DynamicalMap, b: DynamicalMap) -> float:
+    """Least Choi eigenvalue of tensor_product(a, b) from the factors' Choi spectra.
+
+    The product's Choi matrix is Choi(a) (x) Choi(b) up to one permutation of
+    rows and columns, so its eigenvalues are the pairwise products.
+    """
+    return float(np.min(np.multiply.outer(_choi_eigenvalues(a), _choi_eigenvalues(b))))
 
 
 def independent_channels_map(f: complex, n: int) -> DynamicalMap:

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
+from .basis import excitation_sector
 from .errors import SolverError
 
 
@@ -121,3 +122,24 @@ def minor(m: np.ndarray, rows, cols) -> complex:
     if r.size == 1:
         return complex(sub[0, 0])
     return complex(np.linalg.det(sub))
+
+
+def compound_matrix(x: np.ndarray) -> np.ndarray:
+    """All minors det x[A, C] of an n x n matrix, as one 2^n x 2^n matrix.
+
+    Rows and columns run over the subsets of {1..n} ordered by cardinality,
+    then lexicographically (the block basis order).  Entry (A, C) is the
+    minor on rows A and columns C when |A| = |C| and 0 otherwise; the empty
+    minor (first entry) is 1.  One batched determinant per subset size.
+    """
+    n = x.shape[-1]
+    out = np.zeros((2**n, 2**n), dtype=complex)
+    out[0, 0] = 1.0
+    start = 1
+    for k in range(1, n + 1):
+        sets = np.array(excitation_sector(n, k)) - 1  # (C(n, k), k), 0-indexed
+        stop = start + len(sets)
+        rows, cols = sets[:, None, :, None], sets[None, :, None, :]
+        out[start:stop, start:stop] = np.linalg.det(x[rows, cols])  # (C(n,k), C(n,k), k, k) stack
+        start = stop
+    return out

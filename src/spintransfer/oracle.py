@@ -10,11 +10,14 @@ the hopping matrix used by the determinant engine at delta = 0.
 
 This module is deliberately independent of the determinant machinery: the two
 give the same amplitudes only because the physics says so, and the tests lean
-on that.
+on that.  dynmap.map_from_evolution uses it only for chains with delta != 0;
+zero-anisotropy maps are built from the n x n sender -> receiver block B(t)
+and checked against the receiver_amplitude_tensor computed here.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -78,12 +81,12 @@ class McResult:
 @lru_cache(maxsize=128)
 def _sector(spec: ChainSpec, k: int):
     """Basis, Hamiltonian and eigendecomposition of the k-excitation sector."""
-    basis = excitation_sector(spec.N, k)
-    dim = len(basis)
+    dim = math.comb(spec.N, k)
     if dim > MAX_SECTOR_DIM:
         raise DimensionCapError(
             f"sector dimension C({spec.N},{k}) = {dim} exceeds the cap {MAX_SECTOR_DIM}"
         )
+    basis = excitation_sector(spec.N, k)
     index = {s: i for i, s in enumerate(basis)}
     h = np.zeros((dim, dim))
     fields = np.asarray(spec.fields)
@@ -167,13 +170,14 @@ def receiver_amplitude_tensor(spec: ChainSpec, n: int, t: float) -> np.ndarray:
     """
     if n != len(spec.sender_sites):
         raise ValueError(f"block size mismatch: spec has {len(spec.sender_sites)}, got {n}")
+    sectors = [_sector(spec, k) for k in range(n + 1)]  # the cap fires before _reduction enumerates
     tables, n_env = _reduction(spec, n)
     d = 2**n
     out = np.zeros((d, n_env, d), dtype=complex)
     sender_subsets = subsets_by_excitation(n)
     for p, subset in enumerate(sender_subsets):
         k = len(subset)
-        _, index, _, w, v = _sector(spec, k)
+        _, index, _, w, v = sectors[k]
         # The launched basis state's eigen-coefficients are one row of v.
         psi = _real_matmul(v, np.exp(-1j * w * t) * v[index[subset]])
         env_col, lab_col = tables[k]

@@ -436,3 +436,16 @@ def test_block_sizes_out_of_range_exit_2_before_any_work(tmp_path, monkeypatch, 
         assert run([*argv, "--out", out]) == 2
         assert capsys.readouterr().err.startswith("error:")
         assert not out.exists()
+
+
+def test_montecarlo_chain_length_cap_applies_only_with_anisotropy(tmp_path, capsys):
+    spec = ChainSpec.weak_coupling(392, 4, 0.01)  # N = 400
+    anisotropic = ChainSpec.from_dict({**spec.to_dict(), "delta": 0.3})
+    out = tmp_path / "mc.json"
+    common = ["--t", 1234.5, "--samples", 2000, "--seed", 5, "--out", out]
+    assert run(["montecarlo", "--spec", anisotropic.to_json(), *common]) == 3
+    assert "exceeds the cap" in capsys.readouterr().err
+    assert not out.exists()
+    assert run(["montecarlo", "--spec", spec.to_json(), *common]) == 0
+    data = json.loads(out.read_text())
+    assert (data["d"], data["passed"]) == (16, True)

@@ -6,11 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import free_fermion_chains, map_by_environment_loop
+from helpers import free_fermion_chains, map_by_environment_loop, random_unitary
 from spintransfer.amplitudes import chain_transition_matrix
 from spintransfer.chain import ChainSpec
 from spintransfer.dynmap import (
     DynamicalMap,
+    _product_choi_min_eigenvalue,
     apply_map,
     choi_matrix,
     classical_transfer_map,
@@ -23,14 +24,16 @@ from spintransfer.dynmap import (
     two_qubit_map,
     validate_cptp,
 )
-from spintransfer.errors import MapValidationError
+from spintransfer.errors import DimensionCapError, MapConstructionError, MapValidationError
 from spintransfer.fidelity import avg_fidelity_from_map, independent_channels_fidelity
 from spintransfer.oracle import (
     _chunk_size,
+    _sector,
     haar_states,
     receiver_amplitude_tensor,
     sample_fidelity_values,
 )
+from spintransfer.protocol import scan_values
 
 # Nonzero element pattern of the two-site-block transfer map: row (i,j), column
 # (n,m), flattened as 4*i+j / 4*n+m.  Everything else must vanish identically.
@@ -338,3 +341,97 @@ def test_chain_spec_json_round_trips(chain):
     again = ChainSpec.from_json(spec.to_json())
     assert again == spec
     assert again.to_json() == spec.to_json()
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(
+    chain=free_fermion_chains(st.integers(4, 10), lambda N: st.integers(1, min(4, N // 2))),
+    t=st.floats(0.0, 50.0),
+)
+def test_block_builder_matches_sector_oracle(chain, t):
+    """Zero-anisotropy maps come from B(t) alone; the sector engine stays their oracle."""
+    spec, n = chain
+    oracle_map = map_by_environment_loop(receiver_amplitude_tensor(spec, n, t))
+    assert np.max(np.abs(map_from_evolution(spec, n, t).elements - oracle_map)) <= 1e-12
+
+
+def _random_free_fermion_chain(N: int, n: int, rng: np.random.Generator) -> ChainSpec:
+    couplings = rng.uniform(0.05, 2.0, N - 1)
+    couplings[N - n - 1] = couplings[n - 1]
+    return ChainSpec(
+        N=N,
+        couplings=couplings,
+        fields=rng.uniform(-1.0, 1.0, N),
+        sender_sites=tuple(range(1, n + 1)),
+        receiver_sites=tuple(range(N - n + 1, N + 1)),
+        J0=couplings[n - 1],
+    )
+
+
+@pytest.mark.parametrize("N, n", [(13, 5), (12, 6)])
+def test_block_builder_matches_sector_oracle_at_five_and_six_qubits(N, n):
+    rng = np.random.default_rng(N)
+    spec = _random_free_fermion_chain(N, n, rng)
+    t = float(rng.uniform(0.0, 50.0))
+    d = 2**n
+    built = map_from_evolution(spec, n, t).as_tensor()
+    tensor = receiver_amplitude_tensor(spec, n, t)  # [sender state, env, receiver label]
+    # At n = 6 the environment loop would add 64 outer products of 4^6 x 4^6
+    # elements (268 MB each), so it runs on three random halves of the basis
+    # instead, taken for both the sender states and the receiver labels.
+    if d <= 32:
+        picks = [np.arange(d)]
+    else:
+        picks = [np.sort(rng.choice(d, 32, replace=False)) for _ in range(3)]
+    for pick in picks:
+        oracle_map = map_by_environment_loop(tensor[pick][:, :, pick])
+        sub = built[np.ix_(pick, pick, pick, pick)].reshape(len(pick) ** 2, -1)
+        assert np.max(np.abs(sub - oracle_map)) <= 1e-12
+
+
+def test_zero_anisotropy_maps_have_no_chain_length_cap():
+    spec = ChainSpec.weak_coupling(wire_length=392, n=4, J0=0.01)  # N = 400
+    t = 1234.5
+    _sector.cache_clear()
+    m = map_from_evolution(spec, 4, t)
+    assert _sector.cache_info().misses == 0  # no excitation sector was built
+    assert validate_cptp(m).passed
+    assert abs(avg_fidelity_from_map(m) - scan_values(spec, 4, np.array([t]))[0]) <= 1e-12
+    # With zz-anisotropy only the sector engine applies, and C(400, 2) exceeds its cap.
+    with pytest.raises(DimensionCapError):
+        map_from_evolution(replace(spec, delta=0.3), 4, t)
+
+
+def _kraus_channel(d: int, rank: int, rng: np.random.Generator) -> DynamicalMap:
+    """Random CPTP map, in the stored convention, from the Kraus operators of a random isometry."""
+    kraus = random_unitary(d * rank, rng)[:, :d].reshape(rank, d, d)
+    a = np.einsum("lin,ljm->ijnm", kraus, kraus.conj()).conj()
+    return DynamicalMap(d=d, elements=a.reshape(d * d, d * d))
+
+
+def test_product_choi_spectrum_matches_full_eigensolve():
+    rng = np.random.default_rng(41)
+    for da, db in ((2, 2), (2, 4), (4, 2), (4, 4), (8, 2), (2, 8)):
+        for _ in range(3):
+            a = _kraus_channel(da, int(rng.integers(1, da * da + 1)), rng)
+            b = _kraus_channel(db, int(rng.integers(1, db * db + 1)), rng)
+            full = validate_cptp(tensor_product(a, b)).choi_min_eigenvalue
+            assert abs(_product_choi_min_eigenvalue(a, b) - full) <= 1e-12
+
+
+def _transpose_map() -> DynamicalMap:
+    """rho -> rho^T on a qubit: positive, passes every algebraic check, not completely positive."""
+    a = np.zeros((2, 2, 2, 2), dtype=complex)
+    for i in range(2):
+        for j in range(2):
+            a[i, j, j, i] = 1.0
+    return DynamicalMap(d=2, elements=a.reshape(4, 4))
+
+
+def test_tensor_product_with_a_non_cp_factor_raises():
+    transpose = _transpose_map()
+    assert validate_cptp(transpose).failures == ("choi_positivity",)
+    for a, b in ((transpose, identity_map(2)), (identity_map(2), transpose),
+                 (transpose, one_qubit_map(0.5))):
+        with pytest.raises(MapConstructionError):
+            tensor_product(a, b)
