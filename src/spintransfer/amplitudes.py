@@ -22,10 +22,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import partner_sites, subsets_by_excitation
+from .basis import excitation_sector, subsets_by_excitation
 from .chain import ChainSpec, spectral
 from .errors import FreeFermionError
-from .linalg import EigenDecomposition, minor
+from .linalg import EigenDecomposition, dets, minor
 
 
 @dataclass(frozen=True)
@@ -97,11 +97,8 @@ def transfer_amplitudes(F: AmplitudeMatrix, n: int) -> TransferAmplitudeSet:
     N = F.size
     if not 1 <= n <= N // 2 and not (N == 1 and n == 1):
         raise ValueError(f"block size {n} does not fit a chain of {N} sites")
-    entries = {
-        S: multi_amplitude(F, S, partner_sites(S, N, n))
-        for S in subsets_by_excitation(n, include_empty=False)
-    }
-    return TransferAmplitudeSet(block_size=n, entries=entries)
+    minors = subset_minor_series(F.entries[None, :n, N - n :])
+    return TransferAmplitudeSet(block_size=n, entries={S: complex(f[0]) for S, f in minors.items()})
 
 
 def transfer_block_series(decomp: EigenDecomposition, n: int, times: np.ndarray) -> np.ndarray:
@@ -124,10 +121,13 @@ def transfer_block_series(decomp: EigenDecomposition, n: int, times: np.ndarray)
 
 def subset_minor_series(block: np.ndarray) -> dict[tuple[int, ...], np.ndarray]:
     """f_S^S(t) for every nonempty subset S: the principal minors of B(t) on rows and columns S."""
+    n = block.shape[-1]
     out: dict[tuple[int, ...], np.ndarray] = {}
-    for S in subsets_by_excitation(block.shape[-1], include_empty=False):
-        idx = [s - 1 for s in S]
-        out[S] = _batched_det(block[:, idx][:, :, idx])
+    for k in range(1, n + 1):
+        subsets = excitation_sector(n, k)
+        sets = np.array(subsets) - 1  # (C(n, k), k), 0-indexed
+        minors = dets(block[:, sets[:, :, None], sets[:, None, :]])  # (T, C(n,k), k, k) stack
+        out.update(zip(subsets, minors.T))
     return out
 
 
@@ -137,7 +137,7 @@ def total_transfer_amplitude(block: np.ndarray) -> np.ndarray:
     The subset sum is the principal-minor expansion of det(I + B), so the
     average fidelity needs one n x n determinant per time point, not 2^n - 1.
     """
-    return _batched_det(block + np.eye(block.shape[-1]))
+    return dets(block + np.eye(block.shape[-1]))
 
 
 def transfer_amplitude_series(
@@ -149,9 +149,3 @@ def transfer_amplitude_series(
     principal minors of the sender -> receiver block B(t).
     """
     return subset_minor_series(transfer_block_series(decomp, n, times))
-
-
-def _batched_det(mats: np.ndarray) -> np.ndarray:
-    if mats.shape[-1] == 1:
-        return mats[:, 0, 0].copy()
-    return np.linalg.det(mats)

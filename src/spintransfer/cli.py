@@ -2,8 +2,9 @@
 
 Commands exit 0 on success, 2 on configuration errors, 3 on numerical
 failures and 4 when a Monte Carlo cross-check disagrees with the closed-form
-value beyond 5 standard errors.  All numeric output is printed with 17
-significant digits so files round-trip losslessly and identical inputs
+value beyond 5 standard errors.  CSV numbers are printed with 17 significant
+digits (%.17g); JSON numbers are Python's shortest round-trip repr (0.1, not
+0.10000000000000001).  Both formats round-trip exactly, and identical inputs
 produce byte-identical outputs.
 """
 

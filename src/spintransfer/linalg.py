@@ -1,4 +1,4 @@
-"""Dense linear-algebra kernels: tridiagonal eigenproblems, complex determinants, minors.
+"""Dense linear-algebra kernels: tridiagonal eigenproblems, batched determinants, minors.
 
 Matrices are plain numpy arrays; the only wrapped type is the symmetric
 tridiagonal band pair, which is what single-particle hopping problems produce.
@@ -94,9 +94,17 @@ def _as_square_matrix(m: np.ndarray) -> np.ndarray:
     return a
 
 
-def det_complex(m: np.ndarray) -> complex:
-    """Determinant of a square complex matrix (LU with partial pivoting)."""
-    return complex(np.linalg.det(_as_square_matrix(m)))
+def dets(stack: np.ndarray) -> np.ndarray:
+    """Determinant of every k x k matrix in a stack of shape (..., k, k), by batched LU.
+
+    The only determinant kernel of the package.  1 x 1 determinants are the
+    entries themselves, not LU's rounded reconstruction of them.
+    """
+    if stack.ndim < 2 or stack.shape[-1] != stack.shape[-2]:
+        raise ValueError(f"expected a stack of square matrices, got shape {stack.shape}")
+    if stack.shape[-1] == 1:
+        return stack[..., 0, 0].copy()
+    return np.linalg.det(stack)
 
 
 def minor(m: np.ndarray, rows, cols) -> complex:
@@ -118,10 +126,7 @@ def minor(m: np.ndarray, rows, cols) -> complex:
             raise ValueError(f"{name} index out of range for size {a.shape[0]}")
         if np.any(np.diff(idx) <= 0):
             raise ValueError(f"{name} indices must be strictly increasing, got {idx.tolist()}")
-    sub = a[np.ix_(r, c)]
-    if r.size == 1:
-        return complex(sub[0, 0])
-    return complex(np.linalg.det(sub))
+    return complex(dets(a[np.ix_(r, c)]))
 
 
 def compound_matrix(x: np.ndarray) -> np.ndarray:
@@ -140,6 +145,6 @@ def compound_matrix(x: np.ndarray) -> np.ndarray:
         sets = np.array(excitation_sector(n, k)) - 1  # (C(n, k), k), 0-indexed
         stop = start + len(sets)
         rows, cols = sets[:, None, :, None], sets[None, :, None, :]
-        out[start:stop, start:stop] = np.linalg.det(x[rows, cols])  # (C(n,k), C(n,k), k, k) stack
+        out[start:stop, start:stop] = dets(x[rows, cols])  # (C(n,k), C(n,k), k, k) stack
         start = stop
     return out

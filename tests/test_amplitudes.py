@@ -14,15 +14,17 @@ from spintransfer.amplitudes import (
     TransferAmplitudeSet,
     chain_transition_matrix,
     multi_amplitude,
+    subset_minor_series,
     total_transfer_amplitude,
     transfer_amplitude_series,
     transfer_amplitudes,
     transfer_block_series,
     transition_matrix,
 )
-from spintransfer.basis import excitation_sector, partner_sites, subsets_by_excitation
+from spintransfer.basis import block_index, excitation_sector, partner_sites, subsets_by_excitation
 from spintransfer.chain import ChainSpec, spectral
 from spintransfer.errors import FreeFermionError
+from spintransfer.linalg import compound_matrix, minor
 from spintransfer.oracle import PureState, evolve_block
 from spintransfer.protocol import scan_values
 
@@ -184,3 +186,20 @@ def test_five_qubit_scan_matches_full_space_evolution(chain, t):
     d = 2**n
     exact = 1.0 / (d + 1) + abs(total) ** 2 / (d * (d + 1))
     assert abs(scan_values(spec, n, np.array([t]))[0] - exact) <= 1e-10
+
+
+@pytest.mark.parametrize("T", [0, 4])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_subset_minors_are_the_minors_and_the_compound_diagonal(n, T):
+    """Per-size batched minors equal one-matrix minors and compound-matrix entries bit for bit."""
+    rng = np.random.default_rng(100 * n + T)
+    block = rng.standard_normal((T, n, n)) + 1j * rng.standard_normal((T, n, n))
+    series = subset_minor_series(block)
+    assert list(series) == subsets_by_excitation(n, include_empty=False)
+    diagonals = [np.diag(compound_matrix(b)) for b in block]
+    for S, values in series.items():
+        assert values.shape == (T,)
+        idx = [s - 1 for s in S]
+        for t in range(T):
+            assert values[t] == minor(block[t], idx, idx)
+            assert values[t] == diagonals[t][block_index(n)[S]]

@@ -220,3 +220,16 @@ def test_resonance_rejects_unsupported_blocks():
         resonance_report(ChainSpec.uniform(8, n=2), 2)
     with pytest.raises(ValueError):
         resonance_report(ChainSpec.uniform(6, n=3), 3)  # no wire
+
+
+@pytest.mark.parametrize("wire", [8, 10])
+def test_three_site_blocks_on_even_wires_are_non_resonant(wire):
+    """Even wires hold no level resonant with the block spectrum; the cluster is found numerically."""
+    spec = ChainSpec.weak_coupling(wire_length=wire, n=3, J0=0.01)
+    rep = resonance_report(spec, 3)
+    assert rep.regime is Regime.NON_RESONANT
+    assert rep.delta_omega == pytest.approx(5.0e-5, rel=1e-3)
+    first, second, cluster, delta = _numerical_cluster(spec, spectral(spec))
+    assert (rep.first_order_indices, rep.second_order_indices) == (first, second)
+    assert rep.cluster_indices == cluster
+    assert rep.delta_omega == delta

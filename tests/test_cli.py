@@ -1,4 +1,5 @@
 import json
+import os
 import re
 import stat
 import time
@@ -449,3 +450,55 @@ def test_montecarlo_chain_length_cap_applies_only_with_anisotropy(tmp_path, caps
     assert run(["montecarlo", "--spec", spec.to_json(), *common]) == 0
     data = json.loads(out.read_text())
     assert (data["d"], data["passed"]) == (16, True)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["scan", "--spec", "WEAK15", "--tmax", 30, "--grid", 7],
+        ["scan", "--spec", "WEAK15", "--tmax", 30, "--grid", 7, "--format", "json"],
+        ["make-spec", "--N", 12, "--n", 2, "--J0", 0.05],
+    ],
+)
+def test_output_without_out_goes_to_stdout(weak15, tmp_path, capsys, argv):
+    argv = [weak15 if a == "WEAK15" else a for a in argv]
+    out = tmp_path / "out"
+    assert run([*argv, "--out", out]) == 0
+    capsys.readouterr()
+    assert run(argv) == 0
+    assert capsys.readouterr().out.encode("utf-8") == out.read_bytes()
+
+
+def test_out_to_a_device_is_written_in_place(weak15):
+    assert run(["scan", "--spec", weak15, "--tmax", 30, "--grid", 7, "--out", "/dev/null"]) == 0
+    assert run(["make-spec", "--N", 12, "--n", 2, "--out", "/dev/null"]) == 0
+    assert stat.S_ISCHR(os.stat("/dev/null").st_mode)  # not replaced by a regular file
+
+
+def test_make_spec_with_anisotropy_round_trips(tmp_path):
+    out = tmp_path / "spec.json"
+    assert run(["make-spec", "--N", 12, "--n", 2, "--J0", 0.05, "--delta", 0.3, "--out", out]) == 0
+    text = out.read_text()
+    assert json.loads(text)["delta"] == 0.3
+    assert '"delta": 0.3' in text
+    spec = ChainSpec.from_json(text)
+    assert spec.delta == 0.3
+    assert spec.to_json() + "\n" == text
+
+
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        (None, "error: cannot load config"),
+        ("{not json", "error: cannot load config"),
+        ("[1, 2]", "config file must hold a JSON object"),
+    ],
+)
+def test_unreadable_or_non_object_config_exits_2(tmp_path, capsys, content, message):
+    cfg = tmp_path / "cfg.json"
+    if content is not None:
+        cfg.write_text(content)
+    out = tmp_path / "out.json"
+    assert run(["make-spec", "--N", 12, "--n", 2, "--config", cfg, "--out", out]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()

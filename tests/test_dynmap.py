@@ -11,6 +11,7 @@ from spintransfer.amplitudes import chain_transition_matrix
 from spintransfer.chain import ChainSpec
 from spintransfer.dynmap import (
     DynamicalMap,
+    _algebraic_deviations,
     _product_choi_min_eigenvalue,
     apply_map,
     choi_matrix,
@@ -435,3 +436,31 @@ def test_tensor_product_with_a_non_cp_factor_raises():
                  (transpose, one_qubit_map(0.5))):
         with pytest.raises(MapConstructionError):
             tensor_product(a, b)
+
+
+def _whole_array_pairing(m: DynamicalMap) -> float:
+    a = m.as_tensor()
+    return float(np.max(np.abs(a - a.transpose(1, 0, 3, 2).conj())))
+
+
+def test_hermiticity_pairing_is_checked_slab_by_slab():
+    product = independent_channels_map(0.6, 5)  # d = 32, 16.8 MB
+    tracemalloc.start()
+    try:
+        _algebraic_deviations(product)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.25 * product.elements.nbytes, f"peak {peak / product.elements.nbytes:.2f} maps"
+
+    broken = product.as_tensor().copy()
+    broken[31, 2, 5, 7] += 0.3j  # its partner [2, 31, 7, 5] is left alone
+    maps = [
+        identity_map(4),
+        product,
+        map_from_evolution(ChainSpec.uniform(10, n=5), 5, 7.3),
+        DynamicalMap(d=32, elements=broken.reshape(1024, 1024)),
+    ]
+    for m in maps:
+        assert _algebraic_deviations(m)["hermiticity_pairing"] == _whole_array_pairing(m)
+    assert _algebraic_deviations(maps[-1])["hermiticity_pairing"] >= 0.3

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from helpers import cofactor_det, random_unitary
+from helpers import cofactor_det
 from spintransfer.linalg import (
     TridiagonalSymmetric,
-    det_complex,
+    compound_matrix,
+    dets,
     eig_tridiag,
     minor,
 )
@@ -76,39 +77,17 @@ def test_band_validation():
         TridiagonalSymmetric(diag=[np.inf], offdiag=[])
 
 
-def test_det_trivial_cases():
-    assert det_complex(np.eye(3)) == pytest.approx(1.0)
-    assert det_complex(np.array([[0, 1], [1, 0]])) == pytest.approx(-1.0)
-
-
-@pytest.mark.parametrize("theta", [0.0, 0.3, 1.2, 2.9])
-def test_det_rotation_block(theta):
-    m = np.array(
-        [
-            [np.cos(theta), -1j * np.sin(theta)],
-            [-1j * np.sin(theta), np.cos(theta)],
-        ]
-    )
-    assert det_complex(m) == pytest.approx(1.0, abs=1e-12)
-
-
-def test_det_unitary_modulus_one():
-    rng = np.random.default_rng(21)
-    for d in (2, 5, 9):
-        u = random_unitary(d, rng)
-        assert abs(abs(det_complex(u)) - 1.0) <= 1e-10
-
-
 def test_det_rejects_nonsquare():
-    with pytest.raises(ValueError):
-        det_complex(np.ones((2, 3)))
+    for shape in [(2, 3), (3, 1), (4, 2, 1), (3,)]:
+        with pytest.raises(ValueError):
+            dets(np.ones(shape))
 
 
 def test_minor_single_entry_and_full_set():
     rng = np.random.default_rng(3)
     a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
     assert minor(a, [1], [2]) == pytest.approx(a[1, 2])
-    assert minor(a, range(4), range(4)) == pytest.approx(det_complex(a))
+    assert minor(a, range(4), range(4)) == pytest.approx(np.linalg.det(a))
 
 
 @pytest.mark.parametrize("size", [1, 2, 3, 4])
@@ -133,3 +112,26 @@ def test_minor_rejects_bad_indices():
         minor(a, [2, 1], [0, 1])  # unsorted input is an error, not reordered
     with pytest.raises(ValueError):
         minor(a, [], [])
+    with pytest.raises(ValueError):
+        minor(np.ones((2, 3)), [0], [0])  # the matrix itself must be square
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 5])
+def test_dets_of_a_stack_match_one_matrix_at_a_time(k):
+    rng = np.random.default_rng(60 + k)
+    stack = rng.standard_normal((2, 3, k, k)) + 1j * rng.standard_normal((2, 3, k, k))
+    got = dets(stack)
+    assert got.shape == (2, 3)
+    for i in range(2):
+        for j in range(3):
+            want = stack[i, j, 0, 0] if k == 1 else np.linalg.det(stack[i, j])
+            assert got[i, j] == want
+    assert dets(stack[:0]).shape == (0, 3)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_compound_matrix_one_excitation_block_is_the_matrix(n):
+    """The 1 x 1 minors are the entries themselves, not LU's rounding of them."""
+    rng = np.random.default_rng(70 + n)
+    x = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    assert np.array_equal(compound_matrix(x)[1 : n + 1, 1 : n + 1], x)

@@ -162,3 +162,12 @@ def test_envelope_bounds_peak_region():
     times = np.linspace(0.85 * tau, 1.15 * tau, 6000)
     excess = (scan_values(WEAK_15, 3, times) - 0.125) / (1.0 - 0.125)
     assert np.max(excess - env(times)) <= 0.05
+
+
+def test_search_keeps_the_coarse_point_when_fidelity_rises_across_the_window():
+    """F rises over the whole window, so the refinement bracket never holds the peak."""
+    spec = ChainSpec.uniform(4, n=1)
+    res = find_optimal_time(spec, 1, window=(0.0, 0.5))
+    assert np.all(np.diff(res.fidelity) > 0)
+    assert res.optimal_time == 0.5
+    assert res.fidelity_at_optimum == scan_values(spec, 1, np.array([0.5]))[0]
