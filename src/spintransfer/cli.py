@@ -46,15 +46,16 @@ from .fidelity import (
     stats_from_map,
 )
 from .oracle import McResult, haar_sample_fidelity, sample_fidelity_values
-from .protocol import fidelity_scan, phase_aligned_fidelity
+from .protocol import FidelityScan, phase_aligned_fidelity, scan_chunks
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 EXIT_STATISTICAL = 4
 
-# A scan holds about 2**n numbers per grid point (one series per subset plus
+# A scan computes about 2**n numbers per grid point (one series per subset plus
 # their moduli); grids with more cells than this are rejected before any work.
+# The CSV scan is streamed, so this bounds the run time, not the memory.
 MAX_SCAN_CELLS = 1 << 26
 # Commands that build a dynamical map hold its 4**n complex elements: 268 MB at this cap.
 MAX_MAP_QUBITS = 6
@@ -152,22 +153,38 @@ def _write(out: str | None, chunks) -> None:
         raise
 
 
-def _emit_table(out: str | None, fmt: str, columns: dict) -> None:
-    """Stream an ordered name -> column mapping as CSV rows or as a JSON dict of columns."""
-    columns = {name: np.asarray(col, dtype=float) for name, col in columns.items()}
+def _emit_table(out: str | None, fmt: str, blocks) -> None:
+    """Write a table given as blocks of rows, each an ordered name -> column mapping.
+
+    The first block is computed before anything is written, so a command that
+    fails on its input leaves no output.  CSV rows are then streamed block by
+    block; a JSON table is one dict of columns, so its float columns are joined.
+    """
+    blocks = (
+        {name: np.asarray(col, dtype=float) for name, col in block.items()} for block in blocks
+    )
+    first = next(blocks)
     if fmt == "csv":
-        _write(out, _csv_lines(columns))
+        rows = itertools.chain.from_iterable(map(_csv_rows, blocks))
+        _write(out, itertools.chain(_csv_lines(first), rows))
     else:
-        _emit_json(out, columns)
+        rest = list(blocks)
+        _emit_json(out, {name: np.concatenate([first[name], *(b[name] for b in rest)])
+                         for name in first})
 
 
 def _csv_lines(columns: dict):
-    """CSV text of a name -> float column mapping: the header line, then blocks of rows.
+    """CSV text of a name -> float column mapping: the header line, then its rows."""
+    yield ",".join(columns) + "\n"
+    yield from _csv_rows(columns)
+
+
+def _csv_rows(columns: dict):
+    """CSV rows of a name -> float column mapping, in blocks of rows.
 
     Each block of rows becomes Python floats and one %-template formats a
     whole row: the same text as _fmt per cell, without a call per numpy scalar.
     """
-    yield ",".join(columns) + "\n"
     line = ",".join(["%.17g"] * len(columns)) + "\n"
     values = list(columns.values())
     for lo in range(0, len(values[0]), _CSV_BLOCK_ROWS):
@@ -247,19 +264,23 @@ def cmd_scan(config: argparse.Namespace) -> int:
             f"{MAX_SCAN_CELLS}; use at most {MAX_SCAN_CELLS // 2**n} points"
         )
     times = np.linspace(0.0, tmax, points)
-    scan = fidelity_scan(spec, n, times)
-    columns = {
-        "t": times,
-        "F_avg": scan.fidelity,
-        "F_envelope": scan.envelope if scan.envelope is not None else np.full(times.shape, np.nan),
-        "classical_term": scan.classical_term,
-        "quantum_term": scan.quantum_term,
-    }
-    for s, series in scan.amplitudes.items():
-        columns["abs_f_" + "".join(map(str, s))] = np.abs(series)
-    if n == 1:
-        columns["F_phase_aligned"] = phase_aligned_fidelity(scan.amplitudes[(1,)])
-    _emit_table(config.out, config.format, columns)
+
+    def columns(scan: FidelityScan) -> dict:
+        envelope = scan.envelope if scan.envelope is not None else np.full(scan.times.shape, np.nan)
+        table = {
+            "t": scan.times,
+            "F_avg": scan.fidelity,
+            "F_envelope": envelope,
+            "classical_term": scan.classical_term,
+            "quantum_term": scan.quantum_term,
+        }
+        for s, series in scan.amplitudes.items():
+            table["abs_f_" + "".join(map(str, s))] = np.abs(series)
+        if n == 1:
+            table["F_phase_aligned"] = phase_aligned_fidelity(scan.amplitudes[(1,)])
+        return table
+
+    _emit_table(config.out, config.format, map(columns, scan_chunks(spec, n, times)))
     return EXIT_OK
 
 
@@ -305,7 +326,7 @@ def cmd_independent(config: argparse.Namespace) -> int:
                     stats.cv,
                 ]
             )
-    _emit_table(config.out, config.format, dict(zip(names, zip(*rows))))
+    _emit_table(config.out, config.format, [dict(zip(names, zip(*rows)))])
     return EXIT_OK
 
 

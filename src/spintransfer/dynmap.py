@@ -116,11 +116,16 @@ def trace_deviation(m: DynamicalMap) -> float:
     return float(np.max(np.abs(np.einsum("iinm->nm", m.as_tensor()) - np.eye(m.d))))
 
 
+def _slab_size(d: int) -> int:
+    """Leading indices per slab of a map's d^4 elements: at most 16^4 elements, so d <= 16 is one."""
+    return max(1, 16**4 // d**3)
+
+
 def _algebraic_deviations(m: DynamicalMap) -> dict[str, float]:
     """Largest violation of each physicality constraint except Choi positivity."""
     a = m.as_tensor()
     diag = np.einsum("iinn->in", a).real
-    step = max(1, 16**4 // m.d**3)  # slabs of at most 16^4 elements: d <= 16 takes one
+    step = _slab_size(m.d)
     pairing = max(
         np.max(np.abs(a[i : i + step] - a[:, i : i + step].transpose(1, 0, 3, 2).conj()))
         for i in range(0, m.d, step)
@@ -324,9 +329,29 @@ def _map_elements_from_block(block: np.ndarray) -> np.ndarray:
     gather = np.zeros((d, d, d), dtype=complex)  # [P, i, c]
     gather[p_idx, :, c_idx] = sign[:, None] * compound_matrix(block)[laplace_idx]
     k = gather.reshape(d * d, d)
-    gram = (k @ compound_matrix(np.eye(n) - block @ block.conj().T)) @ k.conj().T
-    np.conjugate(gram, out=gram)  # the stored map is conj(gram[(P, i), (Q, j)])
-    return gram.reshape(d, d, d, d).transpose(1, 3, 0, 2).reshape(d * d, d * d)
+    left = k @ compound_matrix(np.eye(n) - block @ block.conj().T)
+    return _stored_gram(left.reshape(d, d, d), gather)
+
+
+def _stored_gram(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """Stored map A[(i, j), (P, Q)] = sum_x conj(left[P, i, x]) * right[Q, j, x], as d^2 x d^2.
+
+    Written into the stored layout one slab of i at a time, so besides the
+    map and its two factors only slab-sized temporaries are alive.
+    """
+    d = left.shape[0]
+    columns = right.reshape(d * d, -1).T  # [x, (Q, j)]
+    step = _slab_size(d)
+    out = None
+    for lo in range(0, d, step):
+        rows = left[:, lo : lo + step].transpose(1, 0, 2).reshape(-1, len(columns))
+        slab = (np.conj(rows) @ columns).reshape(-1, d, d, d)  # [i, P, Q, j]
+        if out is None:
+            # Allocated after the first slab, so that slab is freed below the map: malloc
+            # reuses it for the next build instead of trimming it and faulting it in again.
+            out = np.empty((d, d, d, d), dtype=complex)
+        out[lo : lo + step] = slab.transpose(0, 3, 1, 2)
+    return out.reshape(d * d, d * d)
 
 
 def map_from_evolution(spec: ChainSpec, n: int, t: float) -> DynamicalMap:
@@ -346,12 +371,10 @@ def map_from_evolution(spec: ChainSpec, n: int, t: float) -> DynamicalMap:
     if spec.delta == 0.0:
         elements = _map_elements_from_block(transfer_block_series(spectral(spec), n, [t])[0])
     else:
-        tensor = receiver_amplitude_tensor(spec, n, t)  # [p, env, receiver label]
-        # Rows: environment configurations; column (p, label).  The map is the
-        # Gram matrix sum_e conj T[n,e,i] T[m,e,j], one d^2 x d^2 GEMM.
-        flat = tensor.transpose(1, 0, 2).reshape(tensor.shape[1], d * d)
-        elements = (flat.conj().T @ flat).reshape(d, d, d, d).transpose(1, 3, 0, 2)
-        elements = elements.reshape(d**2, d**2)  # a copy; the Gram matrix is freed
+        # The map is the Gram matrix sum_e conj T[n,e,i] T[m,e,j] of the
+        # amplitude tensor T[p, env, receiver label].
+        amplitudes = receiver_amplitude_tensor(spec, n, t).transpose(0, 2, 1)  # [p, label, env]
+        elements = _stored_gram(amplitudes, amplitudes)
     return _check_constructed(DynamicalMap(d=d, elements=elements), "map_from_evolution")
 
 

@@ -9,8 +9,9 @@ fast scale) followed by a local golden-section refinement.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -20,7 +21,6 @@ from .amplitudes import (
     total_transfer_amplitude,
     transfer_block_series,
 )
-from .basis import subsets_by_excitation
 from .chain import ChainSpec, ResonanceReport, resonance_report, spectral
 from .errors import ResonanceError
 from .fidelity import fidelity_terms
@@ -88,53 +88,71 @@ class FidelityScan:
     amplitudes: dict[tuple[int, ...], np.ndarray]
 
 
-def _amplitude_chunks(spec: ChainSpec, n: int, times: np.ndarray):
-    """Yield (start index, sender -> receiver block B(t)) over consecutive chunks of the time grid."""
+def _block_chunks(spec: ChainSpec, n: int, times: np.ndarray):
+    """Yield (times, sender -> receiver block B(t)) over consecutive _SCAN_CHUNK slices of the grid.
+
+    An empty grid is one empty slice, so joining the pieces always has a piece to join.
+    """
     require_free_fermion(spec)
     decomp = spectral(spec)
-    for lo in range(0, times.size, _SCAN_CHUNK):
-        yield lo, transfer_block_series(decomp, n, times[lo : lo + _SCAN_CHUNK])
+    for lo in range(0, max(times.size, 1), _SCAN_CHUNK):
+        chunk = times[lo : lo + _SCAN_CHUNK]
+        yield chunk, transfer_block_series(decomp, n, chunk)
 
 
 def scan_values(spec: ChainSpec, n: int, times: np.ndarray) -> np.ndarray:
-    """Average transfer fidelity on a time grid: one det(I + B) per time point, chunked."""
-    times = np.asarray(times, dtype=float)
-    out = np.empty(times.shape, dtype=float)
-    for lo, block in _amplitude_chunks(spec, n, times):
-        out[lo : lo + _SCAN_CHUNK] = fidelity_terms((), 2**n, total_transfer_amplitude(block)).total
-    return out
+    """Average transfer fidelity on a time grid: one det(I + B) per time point, chunk by chunk."""
+    return np.concatenate(
+        [
+            fidelity_terms((), 2**n, total_transfer_amplitude(block)).total
+            for _, block in _block_chunks(spec, n, np.asarray(times, dtype=float))
+        ]
+    )
+
+
+def scan_chunks(spec: ChainSpec, n: int, t_grid) -> Iterator[FidelityScan]:
+    """Yield the scan of each consecutive _SCAN_CHUNK slice of the time grid as a FidelityScan.
+
+    Each piece holds the fidelity from det(I + B) exactly as in scan_values,
+    its classical and quantum terms, the envelope and the 2^n - 1 subset
+    minors, which feed only the amplitude series and the classical term.
+    Consuming the pieces one at a time keeps memory independent of the grid.
+    """
+    times = np.asarray(t_grid, dtype=float)
+    envelope = transfer_envelope(spec, n) if _optional_report(spec, n) is not None else None
+    for chunk, block in _block_chunks(spec, n, times):
+        amplitudes = subset_minor_series(block)
+        terms = fidelity_terms(amplitudes.values(), 2**n, total_transfer_amplitude(block))
+        yield FidelityScan(
+            block_size=n,
+            times=chunk,
+            fidelity=terms.total,
+            classical_term=terms.random_guess + terms.classical,
+            quantum_term=terms.quantum,
+            envelope=None if envelope is None else envelope(chunk),
+            amplitudes=amplitudes,
+        )
 
 
 def fidelity_scan(spec: ChainSpec, n: int, t_grid) -> FidelityScan:
     """Scan the average transfer fidelity, its decomposition and all subset amplitudes.
 
-    The fidelity comes from det(I + B) exactly as in scan_values; the 2^n - 1
-    subset minors feed only the amplitude series and the classical term.
+    The whole grid at once: the scan_chunks pieces joined.
     """
-    times = np.asarray(t_grid, dtype=float)
-    subsets = subsets_by_excitation(n, include_empty=False)
-    amps = {s: np.empty(times.shape, dtype=complex) for s in subsets}
-    fidelity, classical, quantum = (np.empty(times.shape, dtype=float) for _ in range(3))
-    for lo, block in _amplitude_chunks(spec, n, times):
-        part = subset_minor_series(block)
-        terms = fidelity_terms(part.values(), 2**n, total_transfer_amplitude(block))
-        chunk = slice(lo, lo + _SCAN_CHUNK)
-        fidelity[chunk] = terms.total
-        classical[chunk] = terms.random_guess + terms.classical
-        quantum[chunk] = terms.quantum
-        for s, series in part.items():
-            amps[s][chunk] = series
-    envelope = None
-    if _optional_report(spec, n) is not None:
-        envelope = transfer_envelope(spec, n)(times)
+    chunks = list(scan_chunks(spec, n, t_grid))
+
+    def joined(name: str) -> np.ndarray:
+        return np.concatenate([getattr(chunk, name) for chunk in chunks])
+
+    first = chunks[0]
     return FidelityScan(
         block_size=n,
-        times=times,
-        fidelity=fidelity,
-        classical_term=classical,
-        quantum_term=quantum,
-        envelope=envelope,
-        amplitudes=amps,
+        times=joined("times"),
+        fidelity=joined("fidelity"),
+        classical_term=joined("classical_term"),
+        quantum_term=joined("quantum_term"),
+        envelope=None if first.envelope is None else joined("envelope"),
+        amplitudes={s: np.concatenate([c.amplitudes[s] for c in chunks]) for s in first.amplitudes},
     )
 
 
@@ -174,6 +192,8 @@ def find_optimal_time(
     else:
         report = _optional_report(spec, n)
     lo, hi = float(window[0]), float(window[1])
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError(f"search window ({lo}, {hi}) is not finite")
     if not hi > lo:
         raise ValueError(f"empty search window ({lo}, {hi})")
     if coarse_points is None:

@@ -169,6 +169,15 @@ def test_det_one_plus_block_is_the_subset_sum(chain, t):
     assert abs(total_transfer_amplitude(block)[0] - (1.0 + minors)) <= 1e-12
 
 
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(chain=free_fermion_chains(st.integers(2, 12), lambda N: st.integers(1, N // 2)), t=_TIMES)
+def test_transition_matrix_is_the_unitary_propagator(chain, t):
+    spec, _ = chain
+    F = transition_matrix(spectral(spec), t).entries
+    assert np.max(np.abs(F - single_particle_propagator(spec, t))) <= 1e-10
+    assert np.max(np.abs(F @ F.conj().T - np.eye(spec.N))) <= 1e-10
+
+
 @settings(derandomize=True, deadline=None, max_examples=3)
 @given(chain=free_fermion_chains(st.just(10), lambda N: st.just(5)), t=_TIMES)
 def test_five_qubit_scan_matches_full_space_evolution(chain, t):

@@ -2,13 +2,15 @@ import json
 import os
 import re
 import stat
+import subprocess
+import sys
 import time
 
 import numpy as np
 import pytest
 
 from spintransfer import cli
-from spintransfer.chain import ChainSpec
+from spintransfer.chain import ChainSpec, engineered_sender_coupling
 from spintransfer.cli import main
 
 
@@ -158,7 +160,7 @@ def test_out_in_missing_directory_exits_before_any_work(weak15, tmp_path, monkey
     def no_scan(*args, **kwargs):
         raise AssertionError("the scan ran before --out was checked")
 
-    monkeypatch.setattr(cli, "fidelity_scan", no_scan)
+    monkeypatch.setattr(cli, "scan_chunks", no_scan)
     (tmp_path / "file").write_text("")
     for out in (tmp_path / "missing" / "x.json", tmp_path / "file" / "x.json", tmp_path):
         assert run(["make-spec", "--N", 6, "--n", 2, "--out", out]) == 2
@@ -175,11 +177,42 @@ def test_unwritable_out_exits_2(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
-def test_scan_rejects_anisotropy(tmp_path):
+def test_scan_rejects_anisotropy(tmp_path, capsys):
     spec = ChainSpec.from_dict({**ChainSpec.uniform(6, n=2).to_dict(), "delta": 0.4})
     path = tmp_path / "aniso.json"
     path.write_text(spec.to_json())
     assert run(["scan", "--spec", path, "--tmax", 5]) == 3
+    assert capsys.readouterr().out == ""  # the first chunk fails before the header is written
+
+
+def _scan_peak_rss_mb(spec_path, out, grid: int) -> float:
+    """Peak RSS of a CSV scan run in a fresh interpreter, in MB (Linux reports KiB)."""
+    code = (
+        "import resource, sys\n"
+        "from spintransfer.cli import main\n"
+        "assert main(sys.argv[1:]) == 0\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+    )
+    path = [os.path.dirname(os.path.dirname(cli.__file__)), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    argv = ["scan", "--spec", spec_path, "--tmax", 200000, "--grid", grid, "--out", out]
+    result = subprocess.run([sys.executable, "-c", code, *map(str, argv)], env=env,
+                            capture_output=True, text=True, check=True)
+    return int(result.stdout) / 1024
+
+
+def test_csv_scan_memory_does_not_grow_with_the_grid(tmp_path):
+    """An eng18 CSV scan is streamed chunk by chunk, so 200,000 rows peak near 80,000 rows.
+
+    Both grids span five or more scan chunks, past the allocator's growth over
+    the first few; a scan held whole would add about 30 MB between them.
+    """
+    js = engineered_sender_coupling(10, k=2, s=1)
+    eng18 = ChainSpec.weak_coupling(wire_length=10, n=4, J0=0.01, sender_coupling=js)
+    spec = tmp_path / "eng18.json"
+    spec.write_text(eng18.to_json())
+    small, large = (_scan_peak_rss_mb(spec, tmp_path / "scan.csv", g) for g in (80_000, 200_000))
+    assert large - small <= 8.0, f"{small:.1f} MB at 80,000 rows, {large:.1f} MB at 200,000"
 
 
 def test_independent_table(tmp_path):

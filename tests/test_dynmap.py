@@ -356,6 +356,16 @@ def test_block_builder_matches_sector_oracle(chain, t):
     assert np.max(np.abs(map_from_evolution(spec, n, t).elements - oracle_map)) <= 1e-12
 
 
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(chain=free_fermion_chains(st.integers(4, 10), lambda N: st.just(2)), t=st.floats(0.0, 50.0))
+def test_two_qubit_maps_of_random_chains_are_cptp_and_match_evolution(chain, t):
+    spec, n = chain
+    m = two_qubit_map(chain_transition_matrix(spec, t), spec.N)
+    report = validate_cptp(m)
+    assert report.passed, report.failures
+    assert np.max(np.abs(m.elements - map_from_evolution(spec, n, t).elements)) <= 1e-10
+
+
 def _random_free_fermion_chain(N: int, n: int, rng: np.random.Generator) -> ChainSpec:
     couplings = rng.uniform(0.05, 2.0, N - 1)
     couplings[N - n - 1] = couplings[n - 1]
@@ -420,6 +430,19 @@ def test_product_choi_spectrum_matches_full_eigensolve():
             assert abs(_product_choi_min_eigenvalue(a, b) - full) <= 1e-12
 
 
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(
+    dims=st.sampled_from([(2, 2), (2, 4), (4, 2), (4, 4), (2, 8), (8, 2)]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_tensor_products_of_random_channels_are_cptp(dims, seed):
+    """Pins the Choi check of tensor_product, taken from the factors' spectra, to the full one."""
+    rng = np.random.default_rng(seed)
+    a, b = (_kraus_channel(d, int(rng.integers(1, d * d + 1)), rng) for d in dims)
+    report = validate_cptp(tensor_product(a, b))
+    assert report.passed, report.failures
+
+
 def _transpose_map() -> DynamicalMap:
     """rho -> rho^T on a qubit: positive, passes every algebraic check, not completely positive."""
     a = np.zeros((2, 2, 2, 2), dtype=complex)
@@ -464,3 +487,18 @@ def test_hermiticity_pairing_is_checked_slab_by_slab():
     for m in maps:
         assert _algebraic_deviations(m)["hermiticity_pairing"] == _whole_array_pairing(m)
     assert _algebraic_deviations(maps[-1])["hermiticity_pairing"] >= 0.3
+
+
+def test_map_assembly_holds_about_one_map():
+    """A warm N=12, n=5 build writes the stored layout slab by slab, never a second full map."""
+    spec = ChainSpec.weak_coupling(wire_length=2, n=5, J0=0.3)
+    for delta, bound in ((0.0, 1.25), (0.3, 1.5)):
+        chain = replace(spec, delta=delta)
+        nbytes = map_from_evolution(chain, 5, 7.3).elements.nbytes  # warms the sector cache
+        tracemalloc.start()
+        try:
+            map_from_evolution(chain, 5, 7.3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound * nbytes, f"delta={delta}: peak {peak / nbytes:.2f} maps"

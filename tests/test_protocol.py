@@ -6,9 +6,11 @@ from spintransfer.chain import ChainSpec, engineered_sender_coupling, resonance_
 from spintransfer.errors import FreeFermionError
 from spintransfer.fidelity import avg_fidelity_from_amplitudes
 from spintransfer.protocol import (
+    _SCAN_CHUNK,
     fidelity_scan,
     find_optimal_time,
     reduced_amplitude,
+    scan_chunks,
     scan_values,
     transfer_envelope,
 )
@@ -80,6 +82,30 @@ def test_scan_matches_per_time_route():
     assert np.allclose(scan.classical_term + scan.quantum_term, scan.fidelity, atol=1e-12)
 
 
+def test_fidelity_scan_is_the_joined_scan_chunks():
+    times = np.linspace(0.0, 3000.0, 2 * _SCAN_CHUNK + 5)
+    scan = fidelity_scan(WEAK_15, 3, times)
+    chunks = list(scan_chunks(WEAK_15, 3, times))
+    assert [c.times.size for c in chunks] == [_SCAN_CHUNK, _SCAN_CHUNK, 5]
+    for name in ("times", "fidelity", "classical_term", "quantum_term", "envelope"):
+        joined = np.concatenate([getattr(c, name) for c in chunks])
+        assert joined.tobytes() == getattr(scan, name).tobytes(), name
+    assert list(scan.amplitudes) == list(chunks[0].amplitudes)
+    for s, series in scan.amplitudes.items():
+        assert np.concatenate([c.amplitudes[s] for c in chunks]).tobytes() == series.tobytes()
+    assert scan.fidelity.tobytes() == scan_values(WEAK_15, 3, times).tobytes()
+    assert scan.envelope.tobytes() == transfer_envelope(WEAK_15, 3)(times).tobytes()
+
+
+def test_scans_of_an_empty_grid_are_empty():
+    empty = np.array([])
+    scan = fidelity_scan(WEAK_15, 3, empty)
+    assert scan.fidelity.shape == scan.envelope.shape == (0,)
+    assert all(series.shape == (0,) for series in scan.amplitudes.values())
+    assert len(scan.amplitudes) == 7
+    assert scan_values(WEAK_15, 3, empty).shape == (0,)
+
+
 def test_scan_at_zero_time_is_random_guess():
     # Nothing has reached the receiver at t = 0, so the average fidelity sits
     # at the random-guess floor 1/d, not at 1.
@@ -125,8 +151,9 @@ def test_single_qubit_swap_optimum():
 
 
 def test_search_window_validation():
-    with pytest.raises(ValueError):
-        find_optimal_time(WEAK_15, 3, window=(5.0, 5.0))
+    for window in [(5.0, 5.0), (0.0, np.inf), (-np.inf, 0.0), (np.nan, 1.0)]:
+        with pytest.raises(ValueError):
+            find_optimal_time(WEAK_15, 3, window=window)
 
 
 def test_transfer_time_scales_with_coupling_squared():
