@@ -28,7 +28,6 @@ from .linalg import EigenDecomposition
 
 _SCAN_CHUNK = 1 << 14
 _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
-_REFINE_ITERS = 80  # 0.618^80 ~ 1e-17 of the bracket, below float resolution
 
 
 def reduced_amplitude(
@@ -137,23 +136,30 @@ def scan_chunks(spec: ChainSpec, n: int, t_grid) -> Iterator[FidelityScan]:
 def fidelity_scan(spec: ChainSpec, n: int, t_grid) -> FidelityScan:
     """Scan the average transfer fidelity, its decomposition and all subset amplitudes.
 
-    The whole grid at once: the scan_chunks pieces joined.
+    The whole grid at once: the scan_chunks pieces joined one column at a
+    time, each column's pieces dropped once joined, so the join holds about
+    one result.
     """
-    chunks = list(scan_chunks(spec, n, t_grid))
-
-    def joined(name: str) -> np.ndarray:
-        return np.concatenate([getattr(chunk, name) for chunk in chunks])
-
-    first = chunks[0]
+    names = ("times", "fidelity", "classical_term", "quantum_term", "envelope")
+    columns: dict[str, list[np.ndarray]] = {name: [] for name in names}
+    series: dict[tuple[int, ...], list[np.ndarray]] = {}
+    for piece in scan_chunks(spec, n, t_grid):
+        for name, pieces in columns.items():
+            pieces.append(getattr(piece, name))
+        for s, f in piece.amplitudes.items():
+            series.setdefault(s, []).append(f)
+    if piece.envelope is None:
+        del columns["envelope"]
+    del piece
+    joined = _joined(columns)
     return FidelityScan(
-        block_size=n,
-        times=joined("times"),
-        fidelity=joined("fidelity"),
-        classical_term=joined("classical_term"),
-        quantum_term=joined("quantum_term"),
-        envelope=None if first.envelope is None else joined("envelope"),
-        amplitudes={s: np.concatenate([c.amplitudes[s] for c in chunks]) for s in first.amplitudes},
+        block_size=n, envelope=joined.pop("envelope", None), amplitudes=_joined(series), **joined
     )
+
+
+def _joined(pieces: dict) -> dict:
+    """Concatenate each entry's pieces in turn, releasing them as soon as they are joined."""
+    return {key: np.concatenate(pieces.pop(key)) for key in list(pieces)}
 
 
 @dataclass(frozen=True)
@@ -220,15 +226,21 @@ def find_optimal_time(
     x1 = b - _GOLDEN * (b - a)
     x2 = a + _GOLDEN * (b - a)
     f1, f2 = objective(x1), objective(x2)
-    for _ in range(_REFINE_ITERS):
+    # Stop at float resolution: once a new interior point is no longer strictly
+    # inside its part of the bracket, the bracket cannot shrink any further.
+    while True:
         if f1 < f2:
+            x = x1 + _GOLDEN * (b - x1)
+            if not x2 < x < b:
+                break
             a, x1, f1 = x1, x2, f2
-            x2 = a + _GOLDEN * (b - a)
-            f2 = objective(x2)
+            x2, f2 = x, objective(x)
         else:
+            x = x2 - _GOLDEN * (x2 - a)
+            if not a < x < x1:
+                break
             b, x2, f2 = x2, x1, f1
-            x1 = b - _GOLDEN * (b - a)
-            f1 = objective(x1)
+            x1, f1 = x, objective(x)
     t_best = x1 if f1 >= f2 else x2
     f_best = max(f1, f2)
     if values[best] > f_best:  # keep the coarse point if refinement drifted off the peak

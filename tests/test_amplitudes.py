@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -24,7 +26,7 @@ from spintransfer.amplitudes import (
 from spintransfer.basis import block_index, excitation_sector, partner_sites, subsets_by_excitation
 from spintransfer.chain import ChainSpec, spectral
 from spintransfer.errors import FreeFermionError
-from spintransfer.linalg import compound_matrix, minor
+from spintransfer.linalg import EigenDecomposition, compound_matrix, minor
 from spintransfer.oracle import PureState, evolve_block
 from spintransfer.protocol import scan_values
 
@@ -212,3 +214,65 @@ def test_subset_minors_are_the_minors_and_the_compound_diagonal(n, T):
         for t in range(T):
             assert values[t] == minor(block[t], idx, idx)
             assert values[t] == diagonals[t][block_index(n)[S]]
+
+
+WEAK_15 = ChainSpec.weak_coupling(wire_length=9, n=3, J0=0.01)
+
+
+def _exp_rows(monkeypatch) -> list:
+    """Record how many rows of phases each np.exp call in the block builder computes."""
+    rows = []
+    exp = np.exp
+
+    def counting(x, *args, **kwargs):
+        rows.append(np.shape(x)[0])
+        return exp(x, *args, **kwargs)
+
+    monkeypatch.setattr(np, "exp", counting)
+    return rows
+
+
+_SEARCH_CHUNK = np.linspace(0.0, 2e5, 1_000_001)[-(1 << 14):]  # step 0.2, as in a search
+
+
+@pytest.mark.parametrize(
+    "times, rows",
+    [
+        (np.linspace(0.0, 2e5, 1 << 14), [128, 128]),
+        (_SEARCH_CHUNK, [128, 128]),
+        # 16 ulps off a uniform grid is not uniform: the direct exp, with the fine table [1]
+        (_SEARCH_CHUNK + 16 * np.spacing(_SEARCH_CHUNK) * (-1) ** np.arange(1 << 14), [1 << 14, 1]),
+    ],
+    ids=["step-12", "step-0.2", "jittered"],
+)
+def test_factorised_phases_stay_within_the_rounding_of_the_direct_exp(times, rows, monkeypatch):
+    """With identity eigenvectors and n = N, B(t) is diag(exp(-i w t)): the phases themselves."""
+    w = spectral(WEAK_15).eigenvalues
+    decomp = EigenDecomposition(eigenvalues=w, eigenvectors=np.eye(w.size))
+    exp_rows = _exp_rows(monkeypatch)
+    phases = np.diagonal(transfer_block_series(decomp, w.size, times), axis1=1, axis2=2)
+    assert exp_rows == rows
+    exact = np.exp(-1j * np.outer(times.astype(np.longdouble), w.astype(np.longdouble)))
+    bound = 4 * np.finfo(float).eps * np.max(np.abs(w)) * np.max(np.abs(times))
+    assert np.max(np.abs(phases - exact)) <= bound
+
+
+@pytest.mark.parametrize(
+    "times",
+    [np.linspace(0.0, 1e3, T) for T in (0, 1, 2, 1 << 14, (1 << 14) + 5)]
+    + [np.linspace(1e3, 0.0, 1 << 14), np.full(1 << 14, 700.0), np.geomspace(1e-3, 1e3, 1 << 14)],
+    ids=["T=0", "T=1", "T=2", "T=16384", "T=16389", "descending", "zero-step", "geomspace"],
+)
+def test_uniform_grids_factorise_and_match_the_direct_exp(times, monkeypatch):
+    """A uniform grid takes ceil(T/m) + m rows of exp with m = ceil(sqrt(T)); others take m = 1."""
+    decomp = spectral(WEAK_15)
+    direct = [transfer_block_series(decomp, 3, [t])[0] for t in times]  # 1-point calls: m = 1
+    rows = _exp_rows(monkeypatch)
+    block = transfer_block_series(decomp, 3, times)
+    T = times.size
+    uniform = T > 1 and np.ptp(np.diff(times)) <= 1e-9
+    m = math.isqrt(T - 1) + 1 if uniform else 1
+    assert rows == [-(-T // m), m]
+    assert block.shape == (T, 3, 3)
+    if T:
+        assert np.max(np.abs(block - np.array(direct))) <= 1e-12

@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from spintransfer import protocol
 from spintransfer.amplitudes import transfer_amplitudes, transition_matrix
 from spintransfer.chain import ChainSpec, engineered_sender_coupling, resonance_report, spectral
 from spintransfer.errors import FreeFermionError
@@ -198,3 +201,37 @@ def test_search_keeps_the_coarse_point_when_fidelity_rises_across_the_window():
     assert np.all(np.diff(res.fidelity) > 0)
     assert res.optimal_time == 0.5
     assert res.fidelity_at_optimum == scan_values(spec, 1, np.array([0.5]))[0]
+
+
+@pytest.mark.parametrize("t", [0.0, 1e5])
+def test_golden_section_stops_on_a_one_float_window(t, monkeypatch):
+    """The bracket cannot shrink below one float, so the refinement stops at once."""
+    calls = []
+    scan = protocol.scan_values
+
+    def counting(*args):
+        calls.append(args[2])
+        return scan(*args)
+
+    monkeypatch.setattr(protocol, "scan_values", counting)
+    hi = np.nextafter(t, np.inf)
+    res = find_optimal_time(WEAK_15, 3, window=(t, hi))
+    assert t <= res.optimal_time <= hi
+    assert len(calls) <= 4  # coarse grid, two interior points, the coarse-point fallback
+    assert res.fidelity_at_optimum == scan(WEAK_15, 3, [res.optimal_time])[0]
+
+
+def test_fidelity_scan_join_holds_about_one_result():
+    """Joining the pieces one column at a time keeps the peak near the size of the result."""
+    tau = resonance_report(ENG_18, 4).transfer_time
+    times = np.linspace(0.0, 1.2 * tau, 200_000)
+    fidelity_scan(ENG_18, 4, times[:10])  # spectral and resonance caches
+    tracemalloc.start()
+    try:
+        scan = fidelity_scan(ENG_18, 4, times)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    columns = (scan.times, scan.fidelity, scan.classical_term, scan.quantum_term, scan.envelope)
+    size = sum(a.nbytes for a in (*columns, *scan.amplitudes.values()))
+    assert peak <= 1.3 * size, f"peak {peak / size:.2f} results"
