@@ -39,11 +39,11 @@ from .errors import (
 from .fidelity import (
     avg_fidelity_from_map,
     independent_channels_fidelity,
+    independent_channels_stats,
     product_ratio_vs_amplitude,
     product_ratio_vs_fidelity,
     product_state_variance,
     second_moment_from_map,
-    stats_from_map,
 )
 from .oracle import McResult, haar_sample_fidelity, sample_fidelity_values
 from .protocol import FidelityScan, phase_aligned_fidelity, scan_chunks
@@ -304,15 +304,15 @@ def cmd_independent(config: argparse.Namespace) -> int:
     if points < 2:
         raise ConfigError("--grid must be at least 2")
     f_grid = np.linspace(0.0, 1.0, points)
-    one_qubit = [stats_from_map(independent_channels_map(f, 1)) for f in f_grid]
+    stats_by_n = {n: independent_channels_stats(f_grid, n) for n in {1, *ns}}
     names = ["n", "f", "F_n", "F1_pow_n", "R_f", "R_F", "variance_full", "variance_product", "cv"]
     rows = []
     for n in ns:
         d = 2**n
-        for f, stats1 in zip(f_grid, one_qubit):
-            stats = stats_from_map(independent_channels_map(f, n))
+        for f, stats, stats1 in zip(f_grid, stats_by_n[n], stats_by_n[1]):
             F = stats.mean
-            r_F = product_ratio_vs_fidelity(F, n) if F > 1.0 / d + 1e-15 else float("nan")
+            # At the random-guess floor F = 1/d (f = 0) the ratio takes its continuous limit, 1.
+            r_F = product_ratio_vs_fidelity(F, n) if F > 1.0 / d + 1e-15 else 1.0
             rows.append(
                 [
                     n,
@@ -395,7 +395,7 @@ def cmd_montecarlo(config: argparse.Namespace) -> int:
     }
 
     if config.product:
-        stats1 = stats_from_map(independent_channels_map(config.amplitude, 1))
+        [stats1] = independent_channels_stats([config.amplitude], 1)
         prod_mean = stats1.mean**n_qubits
         prod_m2 = stats1.second_moment**n_qubits
         prod_values = sample_fidelity_values(

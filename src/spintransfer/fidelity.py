@@ -16,7 +16,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .amplitudes import TransferAmplitudeSet
-from .dynmap import VALIDATION_TOL, DynamicalMap, trace_deviation
+from .dynmap import VALIDATION_TOL, DynamicalMap, one_qubit_tensors, trace_deviation
 from .errors import MapValidationError
 
 
@@ -65,35 +65,54 @@ def avg_fidelity_from_map(m: DynamicalMap) -> float:
     return float(value)
 
 
+def _pairing_terms(a: np.ndarray) -> np.ndarray:
+    """The 24 S4 pairing contractions of two copies of a map tensor a[..., i, j, n, m], batched.
+
+    E[F^2] over Haar inputs joins the four kets of two copies of the map to
+    their four bras in each of the 24 ways; the last axis of the result holds
+    one contraction per way.  Twenty of them first contract indices within
+    each copy: x contracts all four indices of a copy in two pairs, b and c
+    one pair each, and the products x x, b c, c b, b b and c c are those
+    twenty.  The last four join the two copies index by index.  Each
+    contraction of a tensor product of maps is the product of the factors'
+    contractions, so the terms of n parallel channels are the one-channel
+    terms raised to the n.
+    """
+    ein = np.einsum
+    x = np.stack([ein("...iimm->...", a), ein("...imim->...", a)], axis=-1)
+    b = np.stack([ein("...iipm->...pm", a), ein("...ipim->...pm", a)], axis=-1)
+    c = np.stack([ein("...pmss->...pm", a), ein("...psms->...pm", a)], axis=-1)
+    bc = ein("...pmk,...pml->...kl", b, c)
+    terms = [
+        ein("...k,...l->...kl", x, x),
+        bc,
+        bc.swapaxes(-1, -2),
+        ein("...mpk,...pml->...kl", b, b),
+        ein("...ipk,...pil->...kl", c, c),
+        np.stack(
+            [
+                ein("...ipsm,...pims->...", a, a),
+                ein("...ipsm,...pmis->...", a, a),
+                ein("...ispm,...pims->...", a, a),
+                ein("...ispm,...pmis->...", a, a),
+            ],
+            axis=-1,
+        ),
+    ]
+    lead = a.shape[:-4]
+    return np.concatenate([t.reshape(lead + (4,)) for t in terms], axis=-1)
+
+
 def second_moment_from_map(m: DynamicalMap) -> float:
     """Haar average of the squared fidelity of a map.
 
-    Eighth-order moments of Haar coefficients contract the map against itself;
-    the six quadratic families below are what survives, each factorising into
-    at most O(d^2)-sized intermediate sums except the last, which is a genuine
-    four-index contraction.
+    Eighth-order moments of Haar coefficients contract the map against itself
+    in the 24 ways of _pairing_terms; E[F^2] is their sum over
+    d(d+1)(d+2)(d+3).
     """
     a = _validated_tensor(m)
     d = m.d
-
-    x = np.einsum("iimm->", a) + np.einsum("imim->", a)
-    b = np.einsum("iipm->pm", a) + np.einsum("ipim->pm", a)
-    c = np.einsum("pmss->pm", a) + np.einsum("psms->pm", a)
-    e = np.einsum("pmps->ms", a) + np.einsum("ppms->ms", a)
-    g = np.einsum("impm->ip", a) + np.einsum("ipmm->ip", a)
-
-    t1 = x * x
-    t2 = np.sum(b * c)
-    t3 = np.sum(b.T * e)
-    t4 = np.sum(g * c.T)
-    t5 = np.sum(g * e)
-    t6 = (
-        np.einsum("ipsm,pims->", a, a)
-        + np.einsum("ipsm,pmis->", a, a)
-        + np.einsum("ispm,pims->", a, a)
-        + np.einsum("ispm,pmis->", a, a)
-    )
-    total = t1 + t2 + t3 + t4 + t5 + t6
+    total = np.sum(_pairing_terms(a))
     return float(total.real / (d * (d + 1) * (d + 2) * (d + 3)))
 
 
@@ -174,6 +193,25 @@ def independent_channels_fidelity(f: complex, n: int) -> float:
         raise ValueError("need at least one channel")
     d = 2**n
     return float(1.0 / (d + 1) + abs(1.0 + f) ** (2 * n) / (d * (d + 1)))
+
+
+def independent_channels_stats(f, n: int) -> list[FidelityStats]:
+    """Fidelity statistics of n identical independent channels, one per amplitude in f.
+
+    The second moment is sum_sigma s_sigma(f)^n / (d(d+1)(d+2)(d+3)), d = 2^n,
+    where s_sigma(f) are the 24 pairing terms of the one-qubit map: each term
+    factorises over the channels, so no n-qubit map is built.
+    """
+    if n < 1:
+        raise ValueError("need at least one channel")
+    f = np.asarray(f, dtype=complex).ravel()
+    terms = _pairing_terms(one_qubit_tensors(f))
+    d = 2**n
+    second = np.sum(terms**n, axis=-1).real / (d * (d + 1) * (d + 2) * (d + 3))
+    return [
+        FidelityStats.from_moments(independent_channels_fidelity(fk, n), float(m2))
+        for fk, m2 in zip(f, second)
+    ]
 
 
 def product_ratio_vs_amplitude(f: float, n: int) -> float:

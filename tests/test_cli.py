@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import re
 import stat
@@ -9,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from spintransfer import cli
+from spintransfer import cli, dynmap, fidelity
 from spintransfer.chain import ChainSpec, engineered_sender_coupling
 from spintransfer.cli import main
 
@@ -229,6 +230,24 @@ def test_independent_table(tmp_path):
             assert row["R_F"] == pytest.approx(1.0, abs=1e-9)
         if row["f"] == 0.0:
             assert row["F_n"] == pytest.approx(0.5 ** row["n"], abs=1e-12)
+            assert row["R_F"] == 1.0  # the ratio's limit at the random-guess floor F = 1/d
+        assert not any(math.isnan(value) for value in row.values())
+    json_out = tmp_path / "ind.json"
+    assert run(["independent", "--n-list", "1,2", "--grid", 21, "--format", "json",
+                "--out", json_out]) == 0
+    assert "NaN" not in json_out.read_text()
+
+
+def test_independent_builds_no_maps(tmp_path, monkeypatch):
+    def no_map(*args, **kwargs):
+        raise AssertionError("a map was built")
+
+    monkeypatch.setattr(cli, "independent_channels_map", no_map)
+    monkeypatch.setattr(fidelity, "stats_from_map", no_map)
+    monkeypatch.setattr(dynmap, "tensor_product", no_map)
+    out = tmp_path / "ind.csv"
+    assert run(["independent", "--n-list", "1,2,3,4", "--grid", 11, "--out", out]) == 0
+    assert len(out.read_text().splitlines()) == 1 + 4 * 11
 
 
 def test_montecarlo_identity(tmp_path):

@@ -12,7 +12,6 @@ from spintransfer.chain import ChainSpec
 from spintransfer.dynmap import (
     DynamicalMap,
     _algebraic_deviations,
-    _product_choi_min_eigenvalue,
     apply_map,
     choi_matrix,
     classical_transfer_map,
@@ -420,23 +419,13 @@ def _kraus_channel(d: int, rank: int, rng: np.random.Generator) -> DynamicalMap:
     return DynamicalMap(d=d, elements=a.reshape(d * d, d * d))
 
 
-def test_product_choi_spectrum_matches_full_eigensolve():
-    rng = np.random.default_rng(41)
-    for da, db in ((2, 2), (2, 4), (4, 2), (4, 4), (8, 2), (2, 8)):
-        for _ in range(3):
-            a = _kraus_channel(da, int(rng.integers(1, da * da + 1)), rng)
-            b = _kraus_channel(db, int(rng.integers(1, db * db + 1)), rng)
-            full = validate_cptp(tensor_product(a, b)).choi_min_eigenvalue
-            assert abs(_product_choi_min_eigenvalue(a, b) - full) <= 1e-12
-
-
 @settings(derandomize=True, deadline=None, max_examples=40)
 @given(
     dims=st.sampled_from([(2, 2), (2, 4), (4, 2), (4, 4), (2, 8), (8, 2)]),
     seed=st.integers(0, 2**32 - 1),
 )
 def test_tensor_products_of_random_channels_are_cptp(dims, seed):
-    """Pins the Choi check of tensor_product, taken from the factors' spectra, to the full one."""
+    """Products of random CPTP channels pass tensor_product's own check and validate_cptp."""
     rng = np.random.default_rng(seed)
     a, b = (_kraus_channel(d, int(rng.integers(1, d * d + 1)), rng) for d in dims)
     report = validate_cptp(tensor_product(a, b))

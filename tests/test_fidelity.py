@@ -1,8 +1,12 @@
+import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from helpers import haar_moments_by_pairings
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spintransfer.amplitudes import TransferAmplitudeSet, chain_transition_matrix, transfer_amplitudes
 from spintransfer.basis import subsets_by_excitation
@@ -24,6 +28,7 @@ from spintransfer.fidelity import (
     avg_fidelity_from_map,
     avg_fidelity_two_qubit,
     independent_channels_fidelity,
+    independent_channels_stats,
     product_ratio_vs_amplitude,
     product_ratio_vs_fidelity,
     product_state_variance,
@@ -253,6 +258,74 @@ def test_product_state_variance():
     one = stats_from_map(one_qubit_map(0.8))
     assert product_state_variance(one, 1) == pytest.approx(one.variance, abs=1e-15)
     assert product_state_variance(one, 3) >= 0.0
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(
+    modulus=st.floats(0.0, 1.0),
+    phase=st.floats(0.0, 2.0 * math.pi),
+    n=st.integers(1, 4),
+)
+def test_independent_channels_stats_match_the_built_maps(modulus, phase, n):
+    f = modulus * complex(math.cos(phase), math.sin(phase))
+    [stats] = independent_channels_stats([f], n)
+    built = stats_from_map(independent_channels_map(f, n))
+    assert abs(stats.mean - built.mean) <= 1e-14
+    assert abs(stats.second_moment - built.second_moment) <= 1e-14
+    assert abs(stats.variance - built.variance) <= 1e-14
+
+
+_FACTORIALS = np.array([math.factorial(k) for k in range(5)])
+
+
+def _exact_moment_polynomials(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """d(d+1) E[F] and d(d+1)(d+2)(d+3) E[F^2] of n independent channels, as polynomials in f.
+
+    Integer coefficients in ascending powers of a real amplitude f, from the
+    n-fold product of the one-qubit map's five nonzero elements.  The
+    fidelity F(psi) = sum A[i,j,p,q] psi_i conj(psi_j) conj(psi_p) psi_q is
+    a polynomial in the input amplitudes.  Over Haar inputs a monomial
+    averages to zero unless its kets and its bras are the same multiset,
+    with multiplicities k_x; then it averages to
+    prod_x k_x! / (d (d+1) ... (d+K-1)), K = sum_x k_x.
+    """
+    one = {(0, 0, 0, 0): [1, 0, 0], (0, 0, 1, 1): [1, 0, -1], (1, 1, 1, 1): [0, 0, 1],
+           (0, 1, 0, 1): [0, 1, 0], (1, 0, 1, 0): [0, 1, 0]}
+    entries = {(0, 0, 0, 0): np.array([1])}
+    for _ in range(n):
+        entries = {
+            tuple(2 * x + y for x, y in zip(key, key1)): np.convolve(c, c1)
+            for (key, c), (key1, c1) in itertools.product(entries.items(), one.items())
+        }
+    d = 2**n
+    keys = np.array(list(entries))
+    coeffs = np.array(list(entries.values()))  # [element, power of f]
+    kets = np.eye(d, dtype=np.int64)[keys[:, [0, 3]]].sum(axis=1)  # [element, x] = k_x
+    bras = np.eye(d, dtype=np.int64)[keys[:, [1, 2]]].sum(axis=1)
+    first = np.all(kets == bras, axis=1) * np.prod(_FACTORIALS[kets], axis=1)
+    a, b = np.nonzero(np.all(kets[:, None] - bras[:, None] == bras[None] - kets[None], axis=2))
+    weight = np.prod(_FACTORIALS[kets[a] + kets[b]], axis=1)
+    pair = np.einsum("k,ki,kj->ij", weight, coeffs[a], coeffs[b])
+    second = np.zeros(2 * len(pair) - 1, dtype=np.int64)
+    for i, row in enumerate(pair):
+        second[i : i + len(row)] += row
+    return first @ coeffs, second
+
+
+def test_independent_channels_stats_against_exact_rationals():
+    for n in (1, 2, 3, 4):
+        d = 2**n
+        first, second = _exact_moment_polynomials(n)
+        # At f = 1 every channel is the identity, so F = 1 on every input.
+        assert sum(first) == d * (d + 1) and sum(second) == d * (d + 1) * (d + 2) * (d + 3)
+        grid = np.linspace(0.0, 1.0, 21)
+        for f, stats in zip(grid, independent_channels_stats(grid, n)):
+            x = Fraction(float(f))
+            mean = sum(int(c) * x**k for k, c in enumerate(first)) / (d * (d + 1))
+            m2 = sum(int(c) * x**k for k, c in enumerate(second)) / (d * (d + 1) * (d + 2) * (d + 3))
+            assert abs(stats.mean - mean) <= 1e-14
+            assert abs(stats.variance - (m2 - mean**2)) <= 1e-14
+            assert abs(stats.cv - math.sqrt(m2 / mean**2 - 1)) <= 1e-12
 
 
 def test_stats_and_cv():
