@@ -61,6 +61,11 @@ MAX_SCAN_CELLS = 1 << 26
 MAX_MAP_QUBITS = 6
 _CSV_BLOCK_ROWS = 1 << 10  # rows turned into Python floats and joined at a time
 
+
+class NonFiniteOutputError(ArithmeticError):
+    """A result holds a number that strict JSON cannot represent."""
+
+
 _NUMERICAL_ERRORS = (
     FreeFermionError,
     SolverError,
@@ -68,6 +73,7 @@ _NUMERICAL_ERRORS = (
     DimensionCapError,
     MapConstructionError,
     MapValidationError,
+    NonFiniteOutputError,
 )
 
 
@@ -193,9 +199,16 @@ def _csv_rows(columns: dict):
 
 
 def _emit_json(out: str | None, obj) -> None:
-    """Stream obj as indented JSON; numpy arrays become lists only while they are encoded."""
-    encoder = json.JSONEncoder(indent=2, default=np.ndarray.tolist)
-    _write(out, itertools.chain(encoder.iterencode(obj), ["\n"]))
+    """Stream obj as indented, strict JSON; numpy arrays become lists only while they are encoded.
+
+    RFC 8259 has no NaN or infinity: one fails the command as a numerical error
+    while encoding, so an --out file is left unwritten.
+    """
+    encoder = json.JSONEncoder(indent=2, allow_nan=False, default=np.ndarray.tolist)
+    try:
+        _write(out, itertools.chain(encoder.iterencode(obj), ["\n"]))
+    except ValueError as exc:  # allow_nan=False met a NaN or an infinity
+        raise NonFiniteOutputError(f"cannot write JSON: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -266,14 +279,15 @@ def cmd_scan(config: argparse.Namespace) -> int:
     times = np.linspace(0.0, tmax, points)
 
     def columns(scan: FidelityScan) -> dict:
-        envelope = scan.envelope if scan.envelope is not None else np.full(scan.times.shape, np.nan)
         table = {
             "t": scan.times,
             "F_avg": scan.fidelity,
-            "F_envelope": envelope,
+            "F_envelope": scan.envelope,
             "classical_term": scan.classical_term,
             "quantum_term": scan.quantum_term,
         }
+        if scan.envelope is None:  # no resonance report for this block
+            del table["F_envelope"]
         for s, series in scan.amplitudes.items():
             table["abs_f_" + "".join(map(str, s))] = np.abs(series)
         if n == 1:

@@ -295,93 +295,74 @@ def two_qubit_map(F: AmplitudeMatrix, N: int) -> DynamicalMap:
 
 
 @lru_cache(maxsize=8)
-def _laplace_tables(n: int):
-    """Index tables of the signed gather K[(P, i), c] = sign * det B[P - c, i].
-
-    One row per sender subset P and subset c of P, as block basis indices:
-    P, c, the Laplace row set P - c, and the sign of the shuffle that moves
-    the rows P - c below the rows c.
-    """
+def _kraus_columns(n: int) -> np.ndarray:
+    """Entry [i, e]: the column of the compound matrix of [R | B] on columns e + (i + n)."""
     subsets = subsets_by_excitation(n)
-    index = block_index(n)
-    rows = []
-    for p, P in enumerate(subsets):
-        for c, C in enumerate(subsets):
-            if set(C) <= set(P):
-                laplace = tuple(s for s in P if s not in C)
-                inversions = sum(1 for a in laplace for b in C if a < b)
-                rows.append((p, c, index[laplace], (-1) ** inversions))
-    tables = tuple(np.array(col) for col in zip(*rows))
-    for array in tables:
-        array.flags.writeable = False
-    return tables
+    index = block_index(2 * n)
+    labels = [tuple(s + n for s in i) for i in subsets]
+    table = np.array([[index[e + i] for e in subsets] for i in labels])
+    table.flags.writeable = False
+    return table
 
 
-def _map_elements_from_block(block: np.ndarray) -> np.ndarray:
-    """Stored d^2 x d^2 map of a zero-anisotropy chain from its block B(t).
+def _kraus_from_block(block: np.ndarray) -> np.ndarray:
+    """Amplitude tensor T[P, i, e] of a zero-anisotropy chain's map, from its block B(t).
 
     Sender state P ends with the environment in E and the receiver in label
-    state i with amplitude det F[P, E + R_i].  The receiver sites are the
-    highest-indexed, so a Laplace expansion along the R_i columns gives
-    sum over c in P of sign * det B[P - c, i] * det F[c, E].  Summed over E,
-    a product of two such amplitudes becomes det G[c, c'] by Cauchy-Binet,
-    with G = I - B B^dagger by the unitarity of F.  So the Gram matrix of
-    all amplitudes is K C(G) K^dagger, where C(.) is the compound matrix and
-    K the signed gather of C(B).
+    state i with amplitude det F[P, E + R_i], F being the sender rows of the
+    one-excitation propagator, receiver sites last.  Summed over E, products
+    of two amplitudes see the columns F_E only through F_E F_E^dagger =
+    G = I - B B^dagger (Cauchy-Binet), so any root R R^dagger = G replaces
+    them: an n-mode environment, T[P, i, e] = det [R | B][P, e + (i + n)],
+    whose slices T[:, :, e] are Kraus operators.  Clipping the eigenvalues of
+    G at 0 matters only for a non-contractive B, which then fails trace
+    preservation.
     """
     n = block.shape[-1]
-    d = 2**n
-    p_idx, c_idx, laplace_idx, sign = _laplace_tables(n)
-    gather = np.zeros((d, d, d), dtype=complex)  # [P, i, c]
-    gather[p_idx, :, c_idx] = sign[:, None] * compound_matrix(block)[laplace_idx]
-    k = gather.reshape(d * d, d)
-    left = k @ compound_matrix(np.eye(n) - block @ block.conj().T)
-    return _stored_gram(left.reshape(d, d, d), gather)
+    w, v = np.linalg.eigh(np.eye(n) - block @ block.conj().T)
+    root = v * np.sqrt(np.maximum(w, 0.0))
+    return compound_matrix(np.hstack([root, block])).take(_kraus_columns(n), axis=1)
 
 
-def _stored_gram(left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """Stored map A[(i, j), (P, Q)] = sum_x conj(left[P, i, x]) * right[Q, j, x], as d^2 x d^2.
+def _stored_gram(amplitudes: np.ndarray) -> np.ndarray:
+    """Stored map A[(i, j), (P, Q)] = sum_x conj(T[P, i, x]) * T[Q, j, x] of T = amplitudes.
 
-    Written into the stored layout one slab of i at a time, so besides the
-    map and its two factors only slab-sized temporaries are alive.
+    T is reordered once to rows (i, P); each slab of i is then one product with
+    rows (j, Q), so besides the map and that copy only slab-sized temporaries are alive.
     """
-    d = left.shape[0]
-    columns = right.reshape(d * d, -1).T  # [x, (Q, j)]
+    d = amplitudes.shape[0]
+    m = amplitudes.transpose(1, 0, 2).reshape(d * d, -1)  # [(i, P), x]
     step = _slab_size(d)
     out = None
     for lo in range(0, d, step):
-        rows = left[:, lo : lo + step].transpose(1, 0, 2).reshape(-1, len(columns))
-        slab = (np.conj(rows) @ columns).reshape(-1, d, d, d)  # [i, P, Q, j]
+        slab = (np.conj(m[lo * d : (lo + step) * d]) @ m.T).reshape(-1, d, d, d)  # [i, P, j, Q]
         if out is None:
             # Allocated after the first slab, so that slab is freed below the map: malloc
             # reuses it for the next build instead of trimming it and faulting it in again.
             out = np.empty((d, d, d, d), dtype=complex)
-        out[lo : lo + step] = slab.transpose(0, 3, 1, 2)
+        out[lo : lo + step] = slab.transpose(0, 2, 1, 3)
     return out.reshape(d * d, d * d)
 
 
 def map_from_evolution(spec: ChainSpec, n: int, t: float) -> DynamicalMap:
     """Transfer map of an n-site block after evolving the chain for time t.
 
-    Each sender basis state is propagated on the polarised chain and the
-    receiver block is traced out against a shared environment index; columns
-    of the map are exact by linearity.  At zero anisotropy the whole map is a
-    function of the n x n sender -> receiver block B(t) of the one-excitation
-    propagator (see _map_elements_from_block), so its cost does not grow with
-    N; chains with delta != 0 are evolved exactly in the excitation sectors
-    of the oracle module, which caps N through the sector dimension.
+    The map is the Gram matrix, over a shared environment index, of one
+    amplitude tensor T[sender state, receiver label, environment].  At zero
+    anisotropy T comes from the n x n sender -> receiver block B(t) of the
+    one-excitation propagator with an n-mode environment (see
+    _kraus_from_block), so its cost does not grow with N; chains with
+    delta != 0 are evolved exactly in the excitation sectors of the oracle
+    module, which caps N through the sector dimension.
     """
     if n != spec.block_size:
         raise ValueError(f"block size mismatch: spec has {spec.block_size}, got {n}")
-    d = 2**n
     if spec.delta == 0.0:
-        elements = _map_elements_from_block(transfer_block_series(spectral(spec), n, [t])[0])
+        amplitudes = _kraus_from_block(transfer_block_series(spectral(spec), n, [t])[0])
     else:
-        # The map is the Gram matrix sum_e conj T[n,e,i] T[m,e,j] of the
-        # amplitude tensor T[p, env, receiver label].
         amplitudes = receiver_amplitude_tensor(spec, n, t).transpose(0, 2, 1)  # [p, label, env]
-        elements = _stored_gram(amplitudes, amplitudes)
-    return _check_constructed(DynamicalMap(d=d, elements=elements), "map_from_evolution")
+    elements = _stored_gram(amplitudes)
+    return _check_constructed(DynamicalMap(d=2**n, elements=elements), "map_from_evolution")
 
 
 def tensor_product(a: DynamicalMap, b: DynamicalMap) -> DynamicalMap:

@@ -130,21 +130,22 @@ def minor(m: np.ndarray, rows, cols) -> complex:
 
 
 def compound_matrix(x: np.ndarray) -> np.ndarray:
-    """All minors det x[A, C] of an n x n matrix, as one 2^n x 2^n matrix.
+    """All minors det x[A, C] of an r x c matrix with r <= c, as one 2^r x 2^c matrix.
 
-    Rows and columns run over the subsets of {1..n} ordered by cardinality,
-    then lexicographically (the block basis order).  Entry (A, C) is the
-    minor on rows A and columns C when |A| = |C| and 0 otherwise; the empty
-    minor (first entry) is 1.  One batched determinant per subset size.
+    Rows run over the subsets of {1..r} and columns over those of {1..c},
+    each ordered by cardinality, then lexicographically (the block basis
+    order).  Entry (A, C) is the minor on rows A and columns C when
+    |A| = |C| and 0 otherwise; the empty minor (first entry) is 1.  One
+    batched determinant per subset size.
     """
-    n = x.shape[-1]
-    out = np.zeros((2**n, 2**n), dtype=complex)
+    r, c = x.shape[-2:]
+    out = np.zeros((2**r, 2**c), dtype=complex)
     out[0, 0] = 1.0
-    start = 1
-    for k in range(1, n + 1):
-        sets = np.array(excitation_sector(n, k)) - 1  # (C(n, k), k), 0-indexed
-        stop = start + len(sets)
-        rows, cols = sets[:, None, :, None], sets[None, :, None, :]
-        out[start:stop, start:stop] = dets(x[rows, cols])  # (C(n,k), C(n,k), k, k) stack
-        start = stop
+    row = col = 1
+    for k in range(1, r + 1):
+        rows = np.array(excitation_sector(r, k)) - 1  # (C(r, k), k), 0-indexed
+        cols = np.array(excitation_sector(c, k)) - 1  # raises for r > c
+        stack = x[rows[:, None, :, None], cols[None, :, None, :]]  # (C(r,k), C(c,k), k, k)
+        out[row : row + len(rows), col : col + len(cols)] = dets(stack)
+        row, col = row + len(rows), col + len(cols)
     return out

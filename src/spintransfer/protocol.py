@@ -208,7 +208,8 @@ def find_optimal_time(
 
     if phase_aligned:
         def evaluate(ts: np.ndarray) -> np.ndarray:
-            return phase_aligned_fidelity(fidelity_scan(spec, 1, ts).amplitudes[(1,)])
+            blocks = [block[:, 0, 0] for _, block in _block_chunks(spec, 1, ts)]  # f(t)
+            return phase_aligned_fidelity(np.concatenate(blocks))
     else:
         def evaluate(ts: np.ndarray) -> np.ndarray:
             return scan_values(spec, n, ts)

@@ -369,6 +369,20 @@ def test_json_and_csv_tables_agree(weak15, tmp_path, argv):
     csv_columns = np.array([[float(x) for x in ln.split(",")] for ln in lines]).T
     for name, column in zip(names, csv_columns):
         np.testing.assert_array_equal(np.array(data[name], dtype=float), column, err_msg=name)
+    assert not np.any(np.isnan(csv_columns))
+    assert "NaN" not in json_out.read_text()
+    if "F_phase_aligned" in names:  # uniform8-n1: a one-site block has no envelope
+        assert "F_envelope" not in names
+
+
+def test_non_finite_json_value_is_a_numerical_failure(tmp_path, monkeypatch):
+    """Strict JSON has no NaN: the command exits 3 and writes no --out file."""
+    monkeypatch.setattr(cli, "avg_fidelity_from_map", lambda m: float("nan"))
+    out = tmp_path / "mc.json"
+    assert run(["montecarlo", "--identity", "--n", 1, "--samples", 10, "--seed", 1,
+                "--out", out]) == 3
+    assert not out.exists()
+    assert os.listdir(tmp_path) == []  # nor a temporary file beside it
 
 
 # The options each command reads (argparse dests); every command also takes --config.

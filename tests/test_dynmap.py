@@ -7,11 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import free_fermion_chains, map_by_environment_loop, random_unitary
-from spintransfer.amplitudes import chain_transition_matrix
-from spintransfer.chain import ChainSpec
+from spintransfer import dynmap
+from spintransfer.amplitudes import chain_transition_matrix, transfer_block_series
+from spintransfer.chain import ChainSpec, spectral
 from spintransfer.dynmap import (
     DynamicalMap,
     _algebraic_deviations,
+    _kraus_from_block,
+    _stored_gram,
     apply_map,
     choi_matrix,
     classical_transfer_map,
@@ -397,6 +400,37 @@ def test_block_builder_matches_sector_oracle_at_five_and_six_qubits(N, n):
         oracle_map = map_by_environment_loop(tensor[pick][:, :, pick])
         sub = built[np.ix_(pick, pick, pick, pick)].reshape(len(pick) ** 2, -1)
         assert np.max(np.abs(sub - oracle_map)) <= 1e-12
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(
+    chain=free_fermion_chains(st.integers(4, 10), lambda N: st.integers(1, min(4, N // 2))),
+    t=st.floats(0.0, 50.0),
+)
+def test_kraus_tensor_is_an_isometry(chain, t):
+    """sum_{i,e} conj(T[P,i,e]) T[Q,i,e] = delta_PQ: the n-mode environment loses no norm."""
+    spec, n = chain
+    tensor = _kraus_from_block(transfer_block_series(spectral(spec), n, [t])[0])
+    gram = np.einsum("pie,qie->pq", tensor.conj(), tensor)
+    assert np.max(np.abs(gram - np.eye(2**n))) <= 1e-13
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_non_contractive_block_is_caught(n, monkeypatch):
+    """A block B(t) with a singular value above 1 gives G = I - B B^dagger a negative eigenvalue."""
+    spec = ChainSpec.uniform(2 * n + 3, n=n)
+    u, s, vh = np.linalg.svd(transfer_block_series(spectral(spec), n, [4.1])[0])
+    s[0] = 1.0 + 1e-6
+    monkeypatch.setattr(dynmap, "transfer_block_series", lambda *args: ((u * s) @ vh)[None])
+    with pytest.raises(MapConstructionError):
+        map_from_evolution(spec, n, 4.1)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_unitary_block_gives_the_identity_map(n):
+    """B = I leaves G = 0: the environment stays empty and the map is the identity."""
+    elements = _stored_gram(_kraus_from_block(np.eye(n, dtype=complex)))
+    assert np.max(np.abs(elements - identity_map(2**n).elements)) <= 1e-15
 
 
 def test_zero_anisotropy_maps_have_no_chain_length_cap():

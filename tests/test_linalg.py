@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from helpers import cofactor_det
+from spintransfer.basis import subsets_by_excitation
 from spintransfer.linalg import (
     TridiagonalSymmetric,
     compound_matrix,
@@ -135,3 +136,21 @@ def test_compound_matrix_one_excitation_block_is_the_matrix(n):
     rng = np.random.default_rng(70 + n)
     x = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     assert np.array_equal(compound_matrix(x)[1 : n + 1, 1 : n + 1], x)
+
+
+@pytest.mark.parametrize("r, c", [(2, 5), (3, 6)])
+def test_compound_matrix_of_a_rectangular_matrix(r, c):
+    """Entry (A, C) is det x[A, C] where |A| = |C| and 0 elsewhere, for r x c matrices."""
+    rng = np.random.default_rng(10 * r + c)
+    x = rng.standard_normal((r, c)) + 1j * rng.standard_normal((r, c))
+    got = compound_matrix(x)
+    assert got.shape == (2**r, 2**c)
+    for a, rows in enumerate(subsets_by_excitation(r)):
+        for b, cols in enumerate(subsets_by_excitation(c)):
+            if len(rows) != len(cols):
+                assert got[a, b] == 0.0
+            elif rows:
+                sub = x[np.ix_(np.array(rows) - 1, np.array(cols) - 1)]
+                assert abs(got[a, b] - np.linalg.det(sub)) <= 1e-14
+            else:
+                assert got[a, b] == 1.0
