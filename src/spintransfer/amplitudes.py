@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import excitation_sector, subsets_by_excitation
+from .basis import excitation_sector, sector_positions, subsets_by_excitation
 from .chain import ChainSpec, spectral
 from .errors import FreeFermionError
 from .linalg import EigenDecomposition, dets, minor
@@ -154,7 +154,7 @@ def subset_minor_series(block: np.ndarray) -> dict[tuple[int, ...], np.ndarray]:
     out: dict[tuple[int, ...], np.ndarray] = {}
     for k in range(1, n + 1):
         subsets = excitation_sector(n, k)
-        sets = np.array(subsets) - 1  # (C(n, k), k), 0-indexed
+        sets = sector_positions(n, k)  # (C(n, k), k), 0-indexed
         minors = dets(block[:, sets[:, :, None], sets[:, None, :]])  # (T, C(n,k), k, k) stack
         out.update((s, f.copy()) for s, f in zip(subsets, minors.T))  # one array per S, freed alone
     return out

@@ -16,7 +16,10 @@ fermionic reordering sign of the underlying hopping model.)
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import combinations
+
+import numpy as np
 
 
 def subsets_by_excitation(n: int, include_empty: bool = True) -> list[tuple[int, ...]]:
@@ -39,6 +42,14 @@ def excitation_sector(n_sites: int, k: int) -> list[tuple[int, ...]]:
     if not 0 <= k <= n_sites:
         raise ValueError(f"excitation number {k} out of range for {n_sites} sites")
     return list(combinations(range(1, n_sites + 1), k))
+
+
+@lru_cache(maxsize=64)
+def sector_positions(n_sites: int, k: int) -> np.ndarray:
+    """excitation_sector(n_sites, k) as a read-only (C(n_sites, k), k) array of 0-indexed sites."""
+    positions = np.array(excitation_sector(n_sites, k)) - 1
+    positions.flags.writeable = False
+    return positions
 
 
 def partner_sites(sites: tuple[int, ...], n_total: int, block: int) -> tuple[int, ...]:

@@ -345,9 +345,10 @@ def cmd_independent(config: argparse.Namespace) -> int:
 
 
 def _mc_block(result: McResult, mean_ref: float, m2_ref: float) -> dict:
-    def z(diff: float, sem: float) -> float:
+    def z(diff: float, sem: float) -> float | None:
+        # With no spread (one sample) a nonzero difference has no z-score: null, and not passed.
         if sem == 0.0:
-            return 0.0 if abs(diff) < 1e-12 else float("inf")
+            return 0.0 if abs(diff) < 1e-12 else None
         return abs(diff) / sem
 
     return {
@@ -423,7 +424,7 @@ def cmd_montecarlo(config: argparse.Namespace) -> int:
     zs = [report["haar"]["z_mean"], report["haar"]["z_second_moment"]]
     if config.product:
         zs += [report["product"]["z_mean"], report["product"]["z_second_moment"]]
-    report["passed"] = bool(all(z <= 5.0 for z in zs))
+    report["passed"] = all(z is not None and z <= 5.0 for z in zs)
     _emit_json(config.out, report)
     return EXIT_OK if report["passed"] else EXIT_STATISTICAL
 

@@ -38,8 +38,11 @@ from .oracle import receiver_amplitude_tensor
 
 VALIDATION_TOL = 1e-8
 
-# Choi diagonalisation cost grows as d^6; above this the constructors rely on
-# the cheap algebraic checks only (validate_cptp still offers the full check).
+# Maps built as the Gram matrix of an amplitude tensor (map_from_evolution) are
+# certified completely positive by _gram_choi_bound at any d.  The other
+# constructors diagonalise the Choi matrix, whose cost grows as d^6, only up to
+# this d; above it they rely on the algebraic checks alone (validate_cptp still
+# offers the full check).
 _CHOI_AUTOCHECK_MAX_D = 16
 
 
@@ -164,10 +167,36 @@ def choi_matrix(m: DynamicalMap) -> np.ndarray:
     return m.as_tensor().conj().transpose(2, 0, 3, 1).reshape(d**2, d**2)
 
 
-def _check_constructed(m: DynamicalMap, what: str) -> DynamicalMap:
-    """Raise unless m is physical."""
+def _gram_choi_bound(amplitudes: np.ndarray) -> float:
+    """Upper bound on -lambda_min of the Choi matrix of the map _stored_gram(amplitudes).
+
+    That Choi matrix is fl(M M^dagger) with M[(P, i), x] = T[P, i, x]: positive
+    semidefinite up to the rounding of the product alone.  The real and the
+    imaginary part of each entry are real inner products of length 2k
+    (k = T.shape[-1]), so in any summation order each is within
+    gamma_2k sum_x |M_ax| |M_bx|, with gamma_m = m u / (1 - m u) (Higham,
+    Accuracy and Stability of Numerical Algorithms, sections 3.1 and 3.6).  The
+    error matrix is then within sqrt(2) gamma_2k |M| |M|^T entrywise, whose
+    2-norm is at most sqrt(2) gamma_2k ||M||_F^2, and by Weyl's inequality no
+    eigenvalue moves further.  A factor 2 covers the rounding of the bound.
+    """
+    mu = amplitudes.shape[-1] * np.finfo(float).eps  # 2k u, u = eps / 2 the unit roundoff
+    return 2.0 * np.sqrt(2.0) * mu / (1.0 - mu) * float(np.linalg.norm(amplitudes)) ** 2
+
+
+def _check_constructed(
+    m: DynamicalMap, what: str, amplitudes: np.ndarray | None = None
+) -> DynamicalMap:
+    """Raise unless m is physical.
+
+    Given the amplitude tensor m was built from by _stored_gram, Choi
+    positivity is certified by _gram_choi_bound; otherwise it is checked by
+    diagonalising the Choi matrix up to d = _CHOI_AUTOCHECK_MAX_D.
+    """
     worst = max(_algebraic_deviations(m).values())
-    if m.d <= _CHOI_AUTOCHECK_MAX_D:
+    if amplitudes is not None:
+        worst = max(worst, _gram_choi_bound(amplitudes))
+    elif m.d <= _CHOI_AUTOCHECK_MAX_D:
         worst = max(worst, -_choi_min_eigenvalue(m))
     if worst > VALIDATION_TOL:
         raise MapConstructionError(f"{what} produced an unphysical map (violation {worst:.3e})")
@@ -355,14 +384,19 @@ def map_from_evolution(spec: ChainSpec, n: int, t: float) -> DynamicalMap:
     delta != 0 are evolved exactly in the excitation sectors of the oracle
     module, which caps N through the sector dimension.
     """
+    amplitudes = _evolution_amplitudes(spec, n, t)
+    return _check_constructed(
+        DynamicalMap(d=2**n, elements=_stored_gram(amplitudes)), "map_from_evolution", amplitudes
+    )
+
+
+def _evolution_amplitudes(spec: ChainSpec, n: int, t: float) -> np.ndarray:
+    """Amplitude tensor T[sender state, receiver label, environment] of map_from_evolution."""
     if n != spec.block_size:
         raise ValueError(f"block size mismatch: spec has {spec.block_size}, got {n}")
     if spec.delta == 0.0:
-        amplitudes = _kraus_from_block(transfer_block_series(spectral(spec), n, [t])[0])
-    else:
-        amplitudes = receiver_amplitude_tensor(spec, n, t).transpose(0, 2, 1)  # [p, label, env]
-    elements = _stored_gram(amplitudes)
-    return _check_constructed(DynamicalMap(d=2**n, elements=elements), "map_from_evolution")
+        return _kraus_from_block(transfer_block_series(spectral(spec), n, [t])[0])
+    return receiver_amplitude_tensor(spec, n, t).transpose(0, 2, 1)  # [p, label, env]
 
 
 def tensor_product(a: DynamicalMap, b: DynamicalMap) -> DynamicalMap:

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .basis import excitation_sector
+from .basis import sector_positions
 from .errors import SolverError
 
 
@@ -143,8 +143,8 @@ def compound_matrix(x: np.ndarray) -> np.ndarray:
     out[0, 0] = 1.0
     row = col = 1
     for k in range(1, r + 1):
-        rows = np.array(excitation_sector(r, k)) - 1  # (C(r, k), k), 0-indexed
-        cols = np.array(excitation_sector(c, k)) - 1  # raises for r > c
+        rows = sector_positions(r, k)  # (C(r, k), k), 0-indexed
+        cols = sector_positions(c, k)  # raises for r > c
         stack = x[rows[:, None, :, None], cols[None, :, None, :]]  # (C(r,k), C(c,k), k, k)
         out[row : row + len(rows), col : col + len(cols)] = dets(stack)
         row, col = row + len(rows), col + len(cols)

@@ -260,6 +260,17 @@ def test_montecarlo_identity(tmp_path):
     assert data["analytic"]["mean"] == 1.0
 
 
+def test_montecarlo_with_one_sample_writes_strict_json_and_exits_4(tmp_path):
+    """One sample has no standard error, so a nonzero difference has no z-score: null, not passed."""
+    out = tmp_path / "mc.json"
+    assert run(["montecarlo", "--amplitude", 0.5, "--n", 1, "--seed", 1, "--samples", 1,
+                "--out", out]) == cli.EXIT_STATISTICAL
+    data = json.loads(out.read_text(), parse_constant=lambda name: pytest.fail(name))
+    assert data["haar"]["sem_mean"] == 0.0
+    assert data["haar"]["z_mean"] is None
+    assert data["passed"] is False
+
+
 def test_montecarlo_chain_map(weak15, tmp_path):
     out = tmp_path / "mc.json"
     code = run(["montecarlo", "--spec", weak15, "--n", 3, "--t", 178430.62,

@@ -525,3 +525,52 @@ def test_map_assembly_holds_about_one_map():
         finally:
             tracemalloc.stop()
         assert peak <= bound * nbytes, f"delta={delta}: peak {peak / nbytes:.2f} maps"
+
+
+def _choi_bound_and_report(spec: ChainSpec, n: int, t: float):
+    m = map_from_evolution(spec, n, t)
+    return dynmap._gram_choi_bound(dynmap._evolution_amplitudes(spec, n, t)), validate_cptp(m)
+
+
+@settings(derandomize=True, deadline=None, max_examples=80)
+@given(
+    chain=free_fermion_chains(st.integers(4, 10), lambda N: st.integers(1, min(4, N // 2))),
+    delta=st.one_of(st.just(0.0), st.floats(-1.0, 1.0)),
+    t=st.floats(0.0, 50.0),
+)
+def test_gram_choi_bound_covers_the_least_choi_eigenvalue(chain, delta, t):
+    """The a-priori rounding bound from T is at least -lambda_min of the full Choi eigvalsh."""
+    spec, n = chain
+    bound, report = _choi_bound_and_report(replace(spec, delta=delta), n, t)
+    assert report.passed, report.failures
+    assert bound >= -report.choi_min_eigenvalue
+    assert bound <= 1e-10  # far below VALIDATION_TOL
+
+
+def test_gram_choi_bound_covers_the_least_choi_eigenvalue_at_five_qubits():
+    rng = np.random.default_rng(5)
+    bound, report = _choi_bound_and_report(_random_free_fermion_chain(13, 5, rng), 5, 17.9)
+    assert report.passed, report.failures
+    assert 0.0 < bound <= 1e-10
+    assert bound >= -report.choi_min_eigenvalue
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_gram_built_maps_are_not_diagonalised_on_construction(n, monkeypatch):
+    """map_from_evolution certifies Choi positivity without eigvalsh; validate_cptp still diagonalises."""
+
+    def no_eigvalsh(m):
+        raise AssertionError("the Choi matrix was diagonalised")
+
+    monkeypatch.setattr(dynmap, "_choi_min_eigenvalue", no_eigvalsh)
+    for delta in (0.0, 0.3):
+        m = map_from_evolution(_anisotropic(2 * n + 2, n, delta), n, 6.1)
+        with pytest.raises(AssertionError, match="diagonalised"):
+            validate_cptp(m)
+
+
+def test_gram_choi_bound_is_compared_with_the_tolerance(monkeypatch):
+    monkeypatch.setattr(dynmap, "_gram_choi_bound", lambda amplitudes: 2 * dynmap.VALIDATION_TOL)
+    for delta in (0.0, 0.3):
+        with pytest.raises(MapConstructionError):
+            map_from_evolution(_anisotropic(8, 3, delta), 3, 6.1)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from helpers import cofactor_det
-from spintransfer.basis import subsets_by_excitation
+from spintransfer.basis import excitation_sector, sector_positions, subsets_by_excitation
 from spintransfer.linalg import (
     TridiagonalSymmetric,
     compound_matrix,
@@ -154,3 +154,32 @@ def test_compound_matrix_of_a_rectangular_matrix(r, c):
                 assert abs(got[a, b] - np.linalg.det(sub)) <= 1e-14
             else:
                 assert got[a, b] == 1.0
+
+
+@pytest.mark.parametrize("r, c", [(1, 1), (2, 5), (3, 6), (4, 8)])
+def test_compound_matrix_is_bit_identical_with_cached_positions(r, c):
+    """Minors gathered through the cached sector positions equal those of per-call index arrays."""
+    rng = np.random.default_rng(20 * r + c)
+    x = rng.standard_normal((r, c)) + 1j * rng.standard_normal((r, c))
+    want = np.zeros((2**r, 2**c), dtype=complex)
+    want[0, 0] = 1.0
+    row = col = 1
+    for k in range(1, r + 1):
+        rows = np.array(excitation_sector(r, k)) - 1
+        cols = np.array(excitation_sector(c, k)) - 1
+        stack = x[rows[:, None, :, None], cols[None, :, None, :]]
+        want[row : row + len(rows), col : col + len(cols)] = dets(stack)
+        row, col = row + len(rows), col + len(cols)
+    for _ in range(2):  # a first and a repeated (cached) call
+        assert compound_matrix(x).tobytes() == want.tobytes()
+
+
+def test_sector_positions_are_cached_and_read_only():
+    positions = sector_positions(6, 3)
+    assert positions is sector_positions(6, 3)
+    assert np.array_equal(positions, np.array(excitation_sector(6, 3)) - 1)
+    assert not positions.flags.writeable
+    with pytest.raises(ValueError):
+        positions[0, 0] = 5
+    with pytest.raises(ValueError):
+        sector_positions(2, 3)
