@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import excitation_sector, sector_positions, subsets_by_excitation
+from .basis import subsets_by_excitation
 from .chain import ChainSpec, spectral
 from .errors import FreeFermionError
 from .linalg import EigenDecomposition, dets, minor
@@ -150,13 +150,10 @@ def transfer_block_series(decomp: EigenDecomposition, n: int, times: np.ndarray)
 
 def subset_minor_series(block: np.ndarray) -> dict[tuple[int, ...], np.ndarray]:
     """f_S^S(t) for every nonempty subset S: the principal minors of B(t) on rows and columns S."""
-    n = block.shape[-1]
     out: dict[tuple[int, ...], np.ndarray] = {}
-    for k in range(1, n + 1):
-        subsets = excitation_sector(n, k)
-        sets = sector_positions(n, k)  # (C(n, k), k), 0-indexed
-        minors = dets(block[:, sets[:, :, None], sets[:, None, :]])  # (T, C(n,k), k, k) stack
-        out.update((s, f.copy()) for s, f in zip(subsets, minors.T))  # one array per S, freed alone
+    for s in subsets_by_excitation(block.shape[-1], include_empty=False):
+        rows = np.array(s) - 1
+        out[s] = dets(block[:, rows[:, None], rows])  # one (T, k, k) stack per S
     return out
 
 

@@ -298,13 +298,6 @@ def cmd_scan(config: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _check_map_qubits(n: int) -> None:
-    if not 1 <= n <= MAX_MAP_QUBITS:
-        raise ConfigError(
-            f"a map on n={n} qubits: n must be 1 to {MAX_MAP_QUBITS} (4**n complex elements)"
-        )
-
-
 def cmd_independent(config: argparse.Namespace) -> int:
     try:
         ns = [int(x) for x in config.n_list.split(",") if x.strip()]
@@ -312,8 +305,8 @@ def cmd_independent(config: argparse.Namespace) -> int:
         raise ConfigError(f"bad --n-list {config.n_list!r}") from exc
     if not ns:
         raise ConfigError("--n-list names no channel count")
-    for n in ns:
-        _check_map_qubits(n)
+    if not all(1 <= n <= MAX_MAP_QUBITS for n in ns):
+        raise ConfigError(f"--n-list {config.n_list!r}: each count must be 1 to {MAX_MAP_QUBITS}")
     points = config.grid if config.grid is not None else 201
     if points < 2:
         raise ConfigError("--grid must be at least 2")
@@ -384,7 +377,10 @@ def cmd_montecarlo(config: argparse.Namespace) -> int:
         n_qubits = config.n if config.n is not None else spec.block_size
         if config.t is None:
             raise ConfigError("--t (evolution time) is required with --spec")
-    _check_map_qubits(n_qubits)
+    if not 1 <= n_qubits <= MAX_MAP_QUBITS:
+        raise ConfigError(
+            f"a map on n={n_qubits} qubits: n must be 1 to {MAX_MAP_QUBITS} (4**n complex elements)"
+        )
 
     if config.identity:
         m = identity_map(2**n_qubits)

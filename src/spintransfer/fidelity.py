@@ -2,9 +2,9 @@
 
 Two routes are implemented: directly from dynamical-map elements (any map),
 and from the block transfer amplitudes of a chain (exact for zero
-anisotropy).  Both the mean and the second moment come from fourth- and
-eighth-order Haar moments of the input coefficients, so only a handful of
-element families of the map survive the average.
+anisotropy).  The Haar average joins the input's kets to its bras in every
+way: the mean sums the 2 S2 pairing contractions of the map, the second
+moment the 24 S4 pairing contractions of two copies of it.
 """
 
 from __future__ import annotations
@@ -48,21 +48,26 @@ def _validated_tensor(m: DynamicalMap) -> np.ndarray:
     return m.as_tensor()
 
 
-def avg_fidelity_from_map(m: DynamicalMap) -> float:
-    """Haar-average fidelity of a map.
+def _s2_terms(a: np.ndarray) -> np.ndarray:
+    """The 2 S2 pairing contractions of a map tensor a[..., i, j, n, m], batched.
 
-    Only three element families survive the average: receiver-diagonal
-    elements fed by sender-diagonal ones, and the matched coherence family
-    A[(i,j)][(i,j)]; everything else integrates to zero.
+    For a map with Kraus operators K_k they are d and sum_k |tr K_k|^2, so E[F],
+    their sum over d(d+1), is Nielsen's (d + sum_k |tr K_k|^2) / (d(d+1)).
     """
-    a = _validated_tensor(m)
-    d = m.d
-    diag_same = np.einsum("iiii->", a)
-    diag_cross = np.einsum("iijj->", a) - diag_same
-    coher = np.einsum("ijij->ij", a)
-    coher_sum = np.sum(np.tril(coher, -1))
-    value = (2.0 * diag_same + diag_cross + 2.0 * coher_sum.real).real / (d * (d + 1))
-    return float(value)
+    return np.stack([np.einsum("...iimm->...", a), np.einsum("...imim->...", a)], axis=-1)
+
+
+def _mean(a: np.ndarray, d: int) -> float:
+    return float(np.sum(_s2_terms(a)).real / (d * (d + 1)))
+
+
+def _second_moment(a: np.ndarray, d: int) -> float:
+    return float(np.sum(_pairing_terms(a)).real / (d * (d + 1) * (d + 2) * (d + 3)))
+
+
+def avg_fidelity_from_map(m: DynamicalMap) -> float:
+    """Haar-average fidelity of a map: the sum of its 2 S2 pairings (_s2_terms) over d(d+1)."""
+    return _mean(_validated_tensor(m), m.d)
 
 
 def _pairing_terms(a: np.ndarray) -> np.ndarray:
@@ -79,7 +84,7 @@ def _pairing_terms(a: np.ndarray) -> np.ndarray:
     terms raised to the n.
     """
     ein = np.einsum
-    x = np.stack([ein("...iimm->...", a), ein("...imim->...", a)], axis=-1)
+    x = _s2_terms(a)
     b = np.stack([ein("...iipm->...pm", a), ein("...ipim->...pm", a)], axis=-1)
     c = np.stack([ein("...pmss->...pm", a), ein("...psms->...pm", a)], axis=-1)
     bc = ein("...pmk,...pml->...kl", b, c)
@@ -110,15 +115,13 @@ def second_moment_from_map(m: DynamicalMap) -> float:
     in the 24 ways of _pairing_terms; E[F^2] is their sum over
     d(d+1)(d+2)(d+3).
     """
-    a = _validated_tensor(m)
-    d = m.d
-    total = np.sum(_pairing_terms(a))
-    return float(total.real / (d * (d + 1) * (d + 2) * (d + 3)))
+    return _second_moment(_validated_tensor(m), m.d)
 
 
 def stats_from_map(m: DynamicalMap) -> FidelityStats:
-    """Mean, second moment, variance and CV of a map's fidelity distribution."""
-    return FidelityStats.from_moments(avg_fidelity_from_map(m), second_moment_from_map(m))
+    """Mean, second moment, variance and CV of a map's fidelity distribution, validated once."""
+    a = _validated_tensor(m)
+    return FidelityStats.from_moments(_mean(a, m.d), _second_moment(a, m.d))
 
 
 # ---------------------------------------------------------------------------

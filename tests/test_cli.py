@@ -250,6 +250,16 @@ def test_independent_builds_no_maps(tmp_path, monkeypatch):
     assert len(out.read_text().splitlines()) == 1 + 4 * 11
 
 
+def test_independent_channel_count_error_names_the_option(tmp_path, capsys):
+    """independent builds no map, so its range error speaks of --n-list, not of a map's size."""
+    out = tmp_path / "ind.csv"
+    assert run(["independent", "--n-list", "1,7", "--grid", 2, "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "--n-list" in err
+    assert "map" not in err
+    assert not out.exists()
+
+
 def test_montecarlo_identity(tmp_path):
     out = tmp_path / "mc.json"
     assert run(["montecarlo", "--identity", "--n", 2, "--samples", 500,

@@ -1,13 +1,15 @@
 import itertools
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from helpers import haar_moments_by_pairings
+from helpers import free_fermion_chains, haar_moments_by_pairings
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spintransfer import dynmap, fidelity
 from spintransfer.amplitudes import TransferAmplitudeSet, chain_transition_matrix, transfer_amplitudes
 from spintransfer.basis import subsets_by_excitation
 from spintransfer.chain import ChainSpec
@@ -123,6 +125,39 @@ def test_map_validation_required():
         avg_fidelity_from_map(m)
     with pytest.raises(MapValidationError):
         second_moment_from_map(m)
+
+
+def test_stats_from_map_validates_the_map_once(monkeypatch):
+    m = map_from_evolution(ChainSpec.uniform(8, n=2), 2, 3.7)
+    calls = []
+
+    def counting(checked):
+        calls.append(checked)
+        return dynmap.trace_deviation(checked)
+
+    monkeypatch.setattr(fidelity, "trace_deviation", counting)
+    stats = stats_from_map(m)
+    assert len(calls) == 1
+    assert stats.mean == avg_fidelity_from_map(m)
+    assert stats.second_moment == second_moment_from_map(m)
+
+
+@pytest.mark.parametrize("delta, largest, longest", [(0.0, 4, 10), (0.3, 3, 8)])
+@settings(derandomize=True, deadline=None, max_examples=30)
+@given(data=st.data(), t=st.floats(0.0, 50.0))
+def test_map_mean_is_nielsens_kraus_trace_formula(delta, largest, longest, data, t):
+    """E[F] = (d + sum_x |tr K_x|^2) / (d(d+1)), with Kraus operators K_x[i, P] = T[P, i, x].
+
+    Gram-built maps at delta = 0 (n <= 4) and on delta = 0.3 chains small
+    enough for the sector engine.
+    """
+    n = data.draw(st.integers(1, largest))
+    sizes = st.integers(max(4, 2 * n), longest)
+    spec = replace(data.draw(free_fermion_chains(sizes, lambda N: st.just(n)))[0], delta=delta)
+    d = 2**n
+    traces = np.einsum("ppx->x", dynmap._evolution_amplitudes(spec, n, t))
+    nielsen = (d + np.sum(np.abs(traces) ** 2)) / (d * (d + 1))
+    assert abs(avg_fidelity_from_map(map_from_evolution(spec, n, t)) - nielsen) <= 1e-14
 
 
 def test_average_ignores_noncontributing_elements():
