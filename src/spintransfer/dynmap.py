@@ -25,11 +25,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import lru_cache
 
 import numpy as np
 
-from .amplitudes import AmplitudeMatrix, multi_amplitude, transfer_block_series
+from .amplitudes import AmplitudeMatrix, transfer_block_series
 from .basis import block_index, subsets_by_excitation
 from .chain import ChainSpec, spectral
 from .errors import MapConstructionError, MapValidationError
@@ -37,13 +37,6 @@ from .linalg import compound_matrix
 from .oracle import receiver_amplitude_tensor
 
 VALIDATION_TOL = 1e-8
-
-# Maps built as the Gram matrix of an amplitude tensor (map_from_evolution) are
-# certified completely positive by _gram_choi_bound at any d.  The other
-# constructors diagonalise the Choi matrix, whose cost grows as d^6, only up to
-# this d; above it they rely on the algebraic checks alone (validate_cptp still
-# offers the full check).
-_CHOI_AUTOCHECK_MAX_D = 16
 
 
 @dataclass(frozen=True)
@@ -124,21 +117,25 @@ def _slab_size(d: int) -> int:
     return max(1, 16**4 // d**3)
 
 
-def _algebraic_deviations(m: DynamicalMap) -> dict[str, float]:
-    """Largest violation of each physicality constraint except Choi positivity."""
+def _element_deviations(m: DynamicalMap) -> dict[str, float]:
+    """Largest violation of trace preservation, the diagonal bounds and the total sum."""
     a = m.as_tensor()
     diag = np.einsum("iinn->in", a).real
-    step = _slab_size(m.d)
-    pairing = max(
-        np.max(np.abs(a[i : i + step] - a[:, i : i + step].transpose(1, 0, 3, 2).conj()))
-        for i in range(0, m.d, step)
-    )
     return {
         "trace_preservation": trace_deviation(m),
-        "hermiticity_pairing": float(pairing),
         "diagonal_bounds": float(max(np.max(diag) - 1.0, -np.min(diag), 0.0)),
         "total_sum": float(abs(np.einsum("iinm->", a) - m.d)),
     }
+
+
+def _pairing_deviation(m: DynamicalMap) -> float:
+    """Largest violation of the hermiticity pairing, compared slab by slab."""
+    a = m.as_tensor()
+    step = _slab_size(m.d)
+    return float(max(
+        np.max(np.abs(a[i : i + step] - a[:, i : i + step].transpose(1, 0, 3, 2).conj()))
+        for i in range(0, m.d, step)
+    ))
 
 
 def _choi_min_eigenvalue(m: DynamicalMap) -> float:
@@ -148,7 +145,7 @@ def _choi_min_eigenvalue(m: DynamicalMap) -> float:
 
 def validate_cptp(m: DynamicalMap, tolerance: float = VALIDATION_TOL) -> CptpReport:
     """Check trace preservation, hermiticity pairing, diagonal bounds and Choi positivity."""
-    deviations = _algebraic_deviations(m)
+    deviations = {**_element_deviations(m), "hermiticity_pairing": _pairing_deviation(m)}
     choi_min = _choi_min_eigenvalue(m)
     checks = {**deviations, "choi_positivity": -choi_min}
     failures = tuple(name for name, dev in checks.items() if dev > tolerance)
@@ -179,25 +176,29 @@ def _gram_choi_bound(amplitudes: np.ndarray) -> float:
     error matrix is then within sqrt(2) gamma_2k |M| |M|^T entrywise, whose
     2-norm is at most sqrt(2) gamma_2k ||M||_F^2, and by Weyl's inequality no
     eigenvalue moves further.  A factor 2 covers the rounding of the bound.
+
+    The same model bounds the hermiticity pairing.  A[(i,j)][(P,Q)] and
+    conj(A[(j,i)][(Q,P)]) are both computed inner products of rows (P, i) and
+    (Q, j) of M, whose exact values are equal, so each is within
+    sqrt(2) gamma_2k sum_x |M_ax| |M_bx| of the same number and they differ by
+    at most 2 sqrt(2) gamma_2k sum_x |M_ax| |M_bx| <= 2 sqrt(2) gamma_2k ||M||_F^2,
+    which is this bound.
     """
     mu = amplitudes.shape[-1] * np.finfo(float).eps  # 2k u, u = eps / 2 the unit roundoff
     return 2.0 * np.sqrt(2.0) * mu / (1.0 - mu) * float(np.linalg.norm(amplitudes)) ** 2
 
 
-def _check_constructed(
-    m: DynamicalMap, what: str, amplitudes: np.ndarray | None = None
+def _gram_map(
+    amplitudes: np.ndarray, what: str, basis_order: str = "excitation-lex"
 ) -> DynamicalMap:
-    """Raise unless m is physical.
+    """The map _stored_gram(T) of the amplitude tensor T[P, i, x]; raise unless it is physical.
 
-    Given the amplitude tensor m was built from by _stored_gram, Choi
-    positivity is certified by _gram_choi_bound; otherwise it is checked by
-    diagonalising the Choi matrix up to d = _CHOI_AUTOCHECK_MAX_D.
+    Trace preservation, the diagonal bounds and the total sum are read from the
+    elements.  Choi positivity and the hermiticity pairing hold exactly before
+    rounding, and _gram_choi_bound(T) covers both, so nothing is diagonalised.
     """
-    worst = max(_algebraic_deviations(m).values())
-    if amplitudes is not None:
-        worst = max(worst, _gram_choi_bound(amplitudes))
-    elif m.d <= _CHOI_AUTOCHECK_MAX_D:
-        worst = max(worst, -_choi_min_eigenvalue(m))
+    m = DynamicalMap(amplitudes.shape[0], _stored_gram(amplitudes), basis_order)
+    worst = max(*_element_deviations(m).values(), _gram_choi_bound(amplitudes))
     if worst > VALIDATION_TOL:
         raise MapConstructionError(f"{what} produced an unphysical map (violation {worst:.3e})")
     return m
@@ -245,82 +246,36 @@ def one_qubit_tensors(f) -> np.ndarray:
     return a
 
 
+def _one_qubit_kraus(f: complex) -> np.ndarray:
+    """Kraus tensor K[P, i, x] of one_qubit_map: environment x = 1 holds a lost excitation."""
+    f = complex(f)
+    if abs(f) > 1.0 + 1e-9:
+        raise ValueError(f"|f| = {abs(f)} exceeds 1")
+    k = np.zeros((2, 2, 2), dtype=complex)
+    k[0, 0, 0] = 1.0
+    k[1, 1, 0] = f
+    k[1, 0, 1] = np.sqrt(max(1.0 - abs(f) ** 2, 0.0))
+    return k
+
+
 def one_qubit_map(f: complex) -> DynamicalMap:
     """Amplitude-damping transfer map of a single qubit with transition amplitude f."""
-    a = one_qubit_tensors(complex(f))
-    return _check_constructed(DynamicalMap(d=2, elements=a.reshape(4, 4)), "one_qubit_map")
-
-
-def _pair_amplitude(F: AmplitudeMatrix, p: int, q: int) -> complex:
-    """Two-excitation amplitude from sites (1, 2) to sites (p, q), p < q, 1-indexed."""
-    return multi_amplitude(F, (1, 2), (p, q))
+    return _gram_map(_one_qubit_kraus(f), "one_qubit_map")
 
 
 def two_qubit_map(F: AmplitudeMatrix, N: int) -> DynamicalMap:
-    """Transfer map for a two-site sender block, built from closed-form amplitude combinations.
+    """Transfer map for a two-site sender block, from the transition matrix F alone.
 
     Sender sites (1, 2), receiver sites (N-1, N) labelled positionally
-    (label 1 is site N-1, label 2 is site N).  Environment sums run over
-    every site outside the receiver pair; single-excitation sums collapse via
-    unitarity, two-excitation ones are accumulated explicitly.
+    (label 1 is site N-1, label 2 is site N).  The map depends on F only
+    through the 2 x 2 block of sender rows and receiver columns, which
+    _kraus_from_block turns into the amplitude tensor.
     """
     if N != F.size:
         raise ValueError(f"matrix size {F.size} does not match N={N}")
     if N < 4:
         raise ValueError("two-qubit transfer needs at least 4 sites")
-    f1 = F.entries[0]  # f_1^m, 0-indexed target site
-    f2 = F.entries[1]
-    r1, r2 = N - 2, N - 1  # 0-indexed receiver sites carrying labels 1 and 2
-    env = [s for s in range(N) if s not in (r1, r2)]
-
-    g = _pair_amplitude(F, N - 1, N)
-    # Pair amplitudes (1,2) -> {m, one receiver site}, ascending site order.
-    g_m1 = np.array([_pair_amplitude(F, m + 1, r1 + 1) for m in env])
-    g_m2 = np.array([_pair_amplitude(F, m + 1, r2 + 1) for m in env])
-
-    p = np.zeros((4, 4, 4, 4), dtype=complex)  # physical convention <i|L[|n><m|]|j>
-    p[0, 0, 0, 0] = 1.0
-
-    # One excitation in: columns (n, m) in {1, 2} x {1, 2}.
-    for n, fn in ((1, f1), (2, f2)):
-        for m, fm in ((1, f1), (2, f2)):
-            p[0, 0, n, m] = (0.0 if n != m else 1.0) - fn[r1] * fm[r1].conj() - fn[r2] * fm[r2].conj()
-            p[1, 1, n, m] = fn[r1] * fm[r1].conj()
-            p[2, 2, n, m] = fn[r2] * fm[r2].conj()
-            p[1, 2, n, m] = fn[r1] * fm[r2].conj()
-            p[2, 1, n, m] = fn[r2] * fm[r1].conj()
-
-    # Coherences between the vacuum and occupied sender states.
-    p[0, 1, 0, 1] = f1[r1].conj()
-    p[0, 2, 0, 1] = f1[r2].conj()
-    p[0, 1, 0, 2] = f2[r1].conj()
-    p[0, 2, 0, 2] = f2[r2].conj()
-    p[0, 3, 0, 3] = np.conj(g)
-
-    # Coherences between single and double occupation.
-    for n, fn in ((1, f1), (2, f2)):
-        fn_env = fn[env]
-        p[0, 1, n, 3] = np.sum(fn_env * g_m1.conj())
-        p[0, 2, n, 3] = np.sum(fn_env * g_m2.conj())
-        p[1, 3, n, 3] = fn[r1] * np.conj(g)
-        p[2, 3, n, 3] = fn[r2] * np.conj(g)
-
-    # Double occupation in.
-    p[0, 0, 3, 3] = 1.0 - np.sum(np.abs(g_m1) ** 2) - np.sum(np.abs(g_m2) ** 2) - abs(g) ** 2
-    p[1, 1, 3, 3] = np.sum(np.abs(g_m1) ** 2)
-    p[2, 2, 3, 3] = np.sum(np.abs(g_m2) ** 2)
-    p[3, 3, 3, 3] = abs(g) ** 2
-    p[1, 2, 3, 3] = np.sum(g_m1 * g_m2.conj())
-    p[2, 1, 3, 3] = np.sum(g_m2 * g_m1.conj())
-
-    # Remaining columns follow from hermiticity: L[|m><n|] = L[|n><m|]^dagger.
-    for n in range(4):
-        for m in range(n + 1, 4):
-            p[:, :, m, n] = p[:, :, n, m].conj().T
-
-    return _check_constructed(
-        DynamicalMap(d=4, elements=p.conj().reshape(16, 16)), "two_qubit_map"
-    )
+    return _gram_map(_kraus_from_block(F.entries[:2, N - 2 :]), "two_qubit_map")
 
 
 @lru_cache(maxsize=8)
@@ -384,10 +339,7 @@ def map_from_evolution(spec: ChainSpec, n: int, t: float) -> DynamicalMap:
     delta != 0 are evolved exactly in the excitation sectors of the oracle
     module, which caps N through the sector dimension.
     """
-    amplitudes = _evolution_amplitudes(spec, n, t)
-    return _check_constructed(
-        DynamicalMap(d=2**n, elements=_stored_gram(amplitudes)), "map_from_evolution", amplitudes
-    )
+    return _gram_map(_evolution_amplitudes(spec, n, t), "map_from_evolution")
 
 
 def _evolution_amplitudes(spec: ChainSpec, n: int, t: float) -> np.ndarray:
@@ -400,19 +352,34 @@ def _evolution_amplitudes(spec: ChainSpec, n: int, t: float) -> np.ndarray:
 
 
 def tensor_product(a: DynamicalMap, b: DynamicalMap) -> DynamicalMap:
-    """Map acting independently on two blocks; composite indices are left-major."""
+    """Map acting independently on two blocks; composite indices are left-major.
+
+    Built from the elements, so products of exact maps stay exact, and checked
+    in full: raises MapConstructionError unless validate_cptp passes.
+    """
     ta, tb = a.as_tensor(), b.as_tensor()
     d = a.d * b.d
     composite = np.einsum("IJNM,ijnm->IiJjNnMm", ta, tb).reshape(d, d, d, d)
-    return _check_constructed(
-        DynamicalMap(d=d, elements=composite.reshape(d**2, d**2), basis_order="product-lex"),
-        "tensor_product",
-    )
+    m = DynamicalMap(d=d, elements=composite.reshape(d**2, d**2), basis_order="product-lex")
+    report = validate_cptp(m)
+    if not report.passed:
+        raise MapConstructionError(f"tensor_product produced an unphysical map: {report.failures}")
+    return m
 
 
 def independent_channels_map(f: complex, n: int) -> DynamicalMap:
-    """n identical single-qubit amplitude-damping channels in parallel."""
-    return reduce(tensor_product, [one_qubit_map(f)] * n)
+    """n identical single-qubit amplitude-damping channels in parallel.
+
+    Its Kraus tensor is the n-fold Kronecker product of the one-qubit tensor
+    over the (P, i, x) axes, left-major as in tensor_product.
+    """
+    if n < 1:
+        raise ValueError("need at least one channel")
+    one = _one_qubit_kraus(f)
+    k = one
+    for _ in range(n - 1):
+        k = np.kron(k, one)
+    return _gram_map(k, "independent_channels_map", "product-lex" if n > 1 else "excitation-lex")
 
 
 # ---------------------------------------------------------------------------

@@ -304,6 +304,15 @@ def test_montecarlo_product_mode(tmp_path):
     assert var_product > var_haar
 
 
+@pytest.mark.parametrize("amplitude", ["1.5", "nan"])
+def test_montecarlo_amplitude_out_of_range_exits_2(tmp_path, capsys, amplitude):
+    out = tmp_path / "mc.json"
+    assert run(["montecarlo", "--amplitude", amplitude, "--n", 2, "--seed", 1,
+                "--samples", 10, "--out", out]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+    assert not out.exists()
+
+
 def test_montecarlo_requires_seed():
     assert run(["montecarlo", "--identity", "--n", 1, "--samples", 100]) == 2
 

@@ -1,5 +1,6 @@
 import tracemalloc
 from dataclasses import replace
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -12,8 +13,8 @@ from spintransfer.amplitudes import chain_transition_matrix, transfer_block_seri
 from spintransfer.chain import ChainSpec, spectral
 from spintransfer.dynmap import (
     DynamicalMap,
-    _algebraic_deviations,
     _kraus_from_block,
+    _pairing_deviation,
     _stored_gram,
     apply_map,
     choi_matrix,
@@ -23,6 +24,7 @@ from spintransfer.dynmap import (
     independent_channels_map,
     map_from_evolution,
     one_qubit_map,
+    one_qubit_tensors,
     tensor_product,
     two_qubit_map,
     validate_cptp,
@@ -77,6 +79,16 @@ def test_one_qubit_map_element_convention():
     assert m.element(1, 0, 1, 0) == pytest.approx(np.conj(f))
     assert m.element(1, 1, 1, 1) == pytest.approx(abs(f) ** 2)
     assert m.element(0, 0, 1, 1) == pytest.approx(1 - abs(f) ** 2)
+
+
+def test_one_qubit_map_matches_the_element_table():
+    rng = np.random.default_rng(15)
+    amplitudes = rng.uniform(0, 1, 20) * np.exp(1j * rng.uniform(0, 2 * np.pi, 20))
+    for f in (*amplitudes, 0.73, -0.4, 1j, np.exp(0.3j)):
+        table = one_qubit_tensors(f).reshape(4, 4)
+        assert np.max(np.abs(one_qubit_map(f).elements - table)) <= 1e-15
+    for f in (0.0, 1.0):
+        assert np.array_equal(one_qubit_map(f).elements, one_qubit_tensors(f).reshape(4, 4))
 
 
 def test_amplitude_damping_action():
@@ -145,6 +157,21 @@ def test_tensor_product_identities():
         avg_fidelity_from_map(tensor_product(one_qubit_map(1.0), one_qubit_map(0.0))),
     )
     assert both[0] == pytest.approx(both[1], abs=1e-12)
+
+
+def test_independent_channels_map_matches_the_tensor_product():
+    for f in (0.0, 0.73, 1.0, 0.6 * np.exp(0.7j), -0.35 + 0.2j):
+        for n in (1, 2, 3, 4):
+            built = independent_channels_map(f, n)
+            product = reduce(tensor_product, [one_qubit_map(f)] * n)
+            assert built.basis_order == product.basis_order
+            assert np.max(np.abs(built.elements - product.elements)) <= 1e-15
+
+
+@pytest.mark.parametrize("n", [0, -1])
+def test_independent_channels_map_needs_a_channel(n):
+    with pytest.raises(ValueError, match="need at least one channel"):
+        independent_channels_map(0.5, n)
 
 
 def test_validate_cptp_reports():
@@ -484,6 +511,12 @@ def test_tensor_product_with_a_non_cp_factor_raises():
             tensor_product(a, b)
 
 
+def test_tensor_product_checks_choi_positivity_above_d16():
+    """At d = 32 a product with a non-CP factor passes every algebraic check but not the Choi one."""
+    with pytest.raises(MapConstructionError, match="choi_positivity"):
+        tensor_product(_transpose_map(), independent_channels_map(0.5, 4))
+
+
 def _whole_array_pairing(m: DynamicalMap) -> float:
     a = m.as_tensor()
     return float(np.max(np.abs(a - a.transpose(1, 0, 3, 2).conj())))
@@ -493,7 +526,7 @@ def test_hermiticity_pairing_is_checked_slab_by_slab():
     product = independent_channels_map(0.6, 5)  # d = 32, 16.8 MB
     tracemalloc.start()
     try:
-        _algebraic_deviations(product)
+        _pairing_deviation(product)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -508,8 +541,8 @@ def test_hermiticity_pairing_is_checked_slab_by_slab():
         DynamicalMap(d=32, elements=broken.reshape(1024, 1024)),
     ]
     for m in maps:
-        assert _algebraic_deviations(m)["hermiticity_pairing"] == _whole_array_pairing(m)
-    assert _algebraic_deviations(maps[-1])["hermiticity_pairing"] >= 0.3
+        assert _pairing_deviation(m) == _whole_array_pairing(m)
+    assert _pairing_deviation(maps[-1]) >= 0.3
 
 
 def test_map_assembly_holds_about_one_map():
@@ -544,6 +577,7 @@ def test_gram_choi_bound_covers_the_least_choi_eigenvalue(chain, delta, t):
     bound, report = _choi_bound_and_report(replace(spec, delta=delta), n, t)
     assert report.passed, report.failures
     assert bound >= -report.choi_min_eigenvalue
+    assert report.hermiticity_pairing <= bound
     assert bound <= 1e-10  # far below VALIDATION_TOL
 
 
@@ -553,18 +587,26 @@ def test_gram_choi_bound_covers_the_least_choi_eigenvalue_at_five_qubits():
     assert report.passed, report.failures
     assert 0.0 < bound <= 1e-10
     assert bound >= -report.choi_min_eigenvalue
+    assert report.hermiticity_pairing <= bound
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_gram_built_maps_are_not_diagonalised_on_construction(n, monkeypatch):
-    """map_from_evolution certifies Choi positivity without eigvalsh; validate_cptp still diagonalises."""
+    """Gram-built maps certify Choi positivity without eigvalsh; validate_cptp still diagonalises."""
 
     def no_eigvalsh(m):
         raise AssertionError("the Choi matrix was diagonalised")
 
     monkeypatch.setattr(dynmap, "_choi_min_eigenvalue", no_eigvalsh)
-    for delta in (0.0, 0.3):
-        m = map_from_evolution(_anisotropic(2 * n + 2, n, delta), n, 6.1)
+    f = 0.6 * np.exp(0.7j)
+    maps = [map_from_evolution(_anisotropic(2 * n + 2, n, delta), n, 6.1) for delta in (0.0, 0.3)]
+    maps.append(independent_channels_map(f, n))
+    if n == 1:
+        maps.append(one_qubit_map(f))
+    if n == 2:
+        spec = ChainSpec.uniform(7, n=2)
+        maps.append(two_qubit_map(chain_transition_matrix(spec, 6.1), spec.N))
+    for m in maps:
         with pytest.raises(AssertionError, match="diagonalised"):
             validate_cptp(m)
 
