@@ -16,6 +16,11 @@ Physicality constraints in this convention:
     0 <= A[(i,i)][(n,n)] <= 1, sum over all (i, n, m) of A[(i,i)][(n,m)] = d
     Choi matrix C[(n,i)][(m,j)] = conj(A[(i,j)][(n,m)]) positive semidefinite
 
+Every map the package builds is the Gram matrix of a Kraus tensor
+T[P, i, x] (sender state P, receiver label i, environment x), which the map
+keeps as `kraus`: tensor_product takes the Kronecker product of two such
+tensors, and fidelity_evaluator samples pure-state fidelities from T.
+
 Sender-block bases are ordered by excitation number then lexicographically
 (see basis.subsets_by_excitation); receiver patterns are relabelled by their
 positional partner sites, so a clean block transfer produces the identity map.
@@ -23,16 +28,15 @@ positional partner sites, so a clean block transfer produces the identity map.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
 from .amplitudes import AmplitudeMatrix, transfer_block_series
 from .basis import block_index, subsets_by_excitation
 from .chain import ChainSpec, spectral
-from .errors import MapConstructionError, MapValidationError
+from .errors import MapConstructionError
 from .linalg import compound_matrix
 from .oracle import receiver_amplitude_tensor
 
@@ -41,11 +45,16 @@ VALIDATION_TOL = 1e-8
 
 @dataclass(frozen=True)
 class DynamicalMap:
-    """Dense dynamical map of a d-dimensional block."""
+    """Dense dynamical map of a d-dimensional block.
+
+    `kraus` is the tensor T[P, i, x] the map is the Gram matrix of, held
+    read-only; it is None only for a map given by its elements alone.
+    """
 
     d: int
     elements: np.ndarray
     basis_order: str = "excitation-lex"
+    kraus: np.ndarray | None = None
 
     def __post_init__(self):
         el = np.ascontiguousarray(np.asarray(self.elements, dtype=complex))
@@ -54,6 +63,10 @@ class DynamicalMap:
             raise ValueError(f"expected a {self.d ** 2} x {self.d ** 2} matrix, got {el.shape}")
         if not np.all(np.isfinite(el)):
             raise ValueError("map elements must be finite")
+        if self.kraus is not None:
+            kraus = np.asarray(self.kraus, dtype=complex).view()
+            kraus.flags.writeable = False
+            object.__setattr__(self, "kraus", kraus)
 
     def element(self, i: int, j: int, n: int, m: int) -> complex:
         return complex(self.elements[i * self.d + j, n * self.d + m])
@@ -62,35 +75,6 @@ class DynamicalMap:
         """View with separate indices [i, j, n, m]."""
         d = self.d
         return self.elements.reshape(d, d, d, d)
-
-    # -- serialization ------------------------------------------------------
-
-    def to_dict(self) -> dict:
-        flat = self.elements.ravel()
-        return {
-            "d": self.d,
-            "basis_order": self.basis_order,
-            "elements": [[float(z.real), float(z.imag)] for z in flat],
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "DynamicalMap":
-        d = int(data["d"])
-        flat = np.array([complex(re, im) for re, im in data["elements"]])
-        if flat.size != d**4:
-            raise MapValidationError(f"expected {d ** 4} elements, got {flat.size}")
-        m = cls(d=d, elements=flat.reshape(d**2, d**2), basis_order=str(data["basis_order"]))
-        report = validate_cptp(m)
-        if not report.passed:
-            raise MapValidationError(f"loaded map fails validation: {report.failures}")
-        return m
-
-    @classmethod
-    def from_json(cls, text: str) -> "DynamicalMap":
-        return cls.from_dict(json.loads(text))
 
 
 @dataclass(frozen=True)
@@ -197,7 +181,7 @@ def _gram_map(
     elements.  Choi positivity and the hermiticity pairing hold exactly before
     rounding, and _gram_choi_bound(T) covers both, so nothing is diagonalised.
     """
-    m = DynamicalMap(amplitudes.shape[0], _stored_gram(amplitudes), basis_order)
+    m = DynamicalMap(amplitudes.shape[0], _stored_gram(amplitudes), basis_order, amplitudes)
     worst = max(*_element_deviations(m).values(), _gram_choi_bound(amplitudes))
     if worst > VALIDATION_TOL:
         raise MapConstructionError(f"{what} produced an unphysical map (violation {worst:.3e})")
@@ -210,22 +194,17 @@ def _gram_map(
 
 
 def identity_map(d: int) -> DynamicalMap:
-    a = np.zeros((d, d, d, d), dtype=complex)
-    for i in range(d):
-        for j in range(d):
-            a[i, j, i, j] = 1.0
-    return DynamicalMap(d=d, elements=a.reshape(d**2, d**2))
+    """The perfect transfer: one Kraus operator, the identity."""
+    return _gram_map(np.eye(d)[:, :, None], "identity_map")
 
 
 def classical_transfer_map(d: int) -> DynamicalMap:
     """Measure in the transfer basis and re-prepare: the best entanglement-free strategy.
 
     Kills every coherence and gives the benchmark average fidelity 2/(d+1).
+    Its Kraus operators are the projectors |x><x|, T[P, i, x] = delta_Pi delta_Px.
     """
-    a = np.zeros((d, d, d, d), dtype=complex)
-    for i in range(d):
-        a[i, i, i, i] = 1.0
-    return DynamicalMap(d=d, elements=a.reshape(d**2, d**2))
+    return _gram_map(np.eye(d)[:, :, None] * np.eye(d)[:, None, :], "classical_transfer_map")
 
 
 def one_qubit_tensors(f) -> np.ndarray:
@@ -354,17 +333,13 @@ def _evolution_amplitudes(spec: ChainSpec, n: int, t: float) -> np.ndarray:
 def tensor_product(a: DynamicalMap, b: DynamicalMap) -> DynamicalMap:
     """Map acting independently on two blocks; composite indices are left-major.
 
-    Built from the elements, so products of exact maps stay exact, and checked
-    in full: raises MapConstructionError unless validate_cptp passes.
+    Its Kraus tensor is the Kronecker product of the factors' tensors over the
+    (P, i, x) axes, so products of exact maps stay exact.  Raises ValueError
+    for a factor given by its elements alone.
     """
-    ta, tb = a.as_tensor(), b.as_tensor()
-    d = a.d * b.d
-    composite = np.einsum("IJNM,ijnm->IiJjNnMm", ta, tb).reshape(d, d, d, d)
-    m = DynamicalMap(d=d, elements=composite.reshape(d**2, d**2), basis_order="product-lex")
-    report = validate_cptp(m)
-    if not report.passed:
-        raise MapConstructionError(f"tensor_product produced an unphysical map: {report.failures}")
-    return m
+    if a.kraus is None or b.kraus is None:
+        raise ValueError("tensor_product needs maps that keep their Kraus tensor")
+    return _gram_map(np.kron(a.kraus, b.kraus), "tensor_product", "product-lex")
 
 
 def independent_channels_map(f: complex, n: int) -> DynamicalMap:
@@ -375,11 +350,8 @@ def independent_channels_map(f: complex, n: int) -> DynamicalMap:
     """
     if n < 1:
         raise ValueError("need at least one channel")
-    one = _one_qubit_kraus(f)
-    k = one
-    for _ in range(n - 1):
-        k = np.kron(k, one)
-    return _gram_map(k, "independent_channels_map", "product-lex" if n > 1 else "excitation-lex")
+    kraus = reduce(np.kron, [_one_qubit_kraus(f)] * n)
+    return _gram_map(kraus, "independent_channels_map", "product-lex" if n > 1 else "excitation-lex")
 
 
 # ---------------------------------------------------------------------------
@@ -391,40 +363,26 @@ def fidelity_evaluator(m: DynamicalMap):
     """Batched pure-state fidelity function of a map, for Monte Carlo use.
 
     Returns a callable taking state rows (batch, d) and yielding
-    <psi| L[|psi><psi|] |psi> for each row.
+    <psi| L[|psi><psi|] |psi> = sum_x |<psi|K_x|psi>|^2 for each row, K_x the
+    Kraus operators of the map's tensor T.  With M[(P, i), x] = T[P, i, x] and
+    u = vec(psi (x) conj psi), <psi|K_x|psi> = (u M)_x; M = U S V^dagger with
+    V an isometry, so U S gives the same sum, and only its columns above
+    numpy's matrix_rank tolerance are kept.  Raises ValueError for a map given
+    by its elements alone.
     """
+    if m.kraus is None:
+        raise ValueError("fidelity_evaluator needs a map that keeps its Kraus tensor")
     d = m.d
-    A = m.elements
+    left, sigma, _ = np.linalg.svd(m.kraus.reshape(d * d, -1), full_matrices=False)
+    keep = sigma > sigma[0] * max(d * d, m.kraus.shape[-1]) * np.finfo(float).eps
+    factor = left[:, keep] * sigma[keep]  # (d^2, rank)
 
     def evaluate(states: np.ndarray) -> np.ndarray:
-        states = np.asarray(states, dtype=complex)
-        if states.ndim == 1:
-            states = states[None, :]
+        states = np.atleast_2d(np.asarray(states, dtype=complex))
         if states.shape[1] != d:
             raise ValueError(f"states must have dimension {d}, got {states.shape[1]}")
-        # F_s = sum_ab conj(u_sa) A_ab u_sb with u_s = vec(conj psi_s (x) psi_s): one GEMM
-        # on uc = conj(u), then uc is conjugated in place, so at most two
-        # (batch, d^2) arrays are alive at once.
-        uc = (states[:, :, None] * states.conj()[:, None, :]).reshape(states.shape[0], d * d)
-        p = uc @ A
-        np.conjugate(uc, out=uc)
-        p *= uc
-        return p.sum(axis=1).real
+        u = (states[:, :, None] * states.conj()[:, None, :]).reshape(states.shape[0], d * d)
+        y = u @ factor
+        return np.sum(y.real**2 + y.imag**2, axis=1)
 
     return evaluate
-
-
-def apply_map(m: DynamicalMap, rho: np.ndarray) -> np.ndarray:
-    """Receiver density matrix for a given sender density matrix."""
-    d = m.d
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (d, d):
-        raise ValueError(f"expected a {d} x {d} density matrix")
-    # The stored convention acts on transpose-flattened density matrices.
-    vec = rho.T.reshape(d * d)
-    return (m.elements @ vec).reshape(d, d).T
-
-
-def map_fidelity(m: DynamicalMap, state: np.ndarray) -> float:
-    """Fidelity of one pure input state under the map."""
-    return float(fidelity_evaluator(m)(np.asarray(state, dtype=complex)[None, :])[0])

@@ -112,11 +112,6 @@ def _real_matmul(v: np.ndarray, z: np.ndarray) -> np.ndarray:
     return v @ z.real + 1j * (v @ z.imag)
 
 
-def sector_hamiltonian(spec: ChainSpec, k: int) -> np.ndarray:
-    """Dense Hamiltonian of the k-excitation sector (basis: ascending k-subsets, lex order)."""
-    return _sector(spec, k)[2].copy()
-
-
 def evolve_block(spec: ChainSpec, state: PureState, t: float, *, excitations: int) -> PureState:
     """Exact evolution of a state living in one excitation sector of the chain."""
     basis, _, _, w, v = _sector(spec, excitations)
@@ -183,28 +178,6 @@ def receiver_amplitude_tensor(spec: ChainSpec, n: int, t: float) -> np.ndarray:
         env_col, lab_col = tables[k]
         out[p][env_col, lab_col] = psi  # (env, label) splits are unique per basis state
     return out
-
-
-def reduced_receiver_state(spec: ChainSpec, state: PureState, t: float) -> np.ndarray:
-    """Receiver-block density matrix (positionally labelled basis) after evolving `state`.
-
-    `state` is expanded over the canonical sender-block basis; the rest of the
-    chain starts fully polarised.
-    """
-    n = len(spec.sender_sites)
-    d = 2**n
-    if state.dimension != d:
-        raise ValueError(f"expected a sender-block state of dimension {d}")
-    tensor = receiver_amplitude_tensor(spec, n, t)
-    m = np.tensordot(state.amplitudes, tensor, axes=([0], [0]))  # (n_env, d)
-    return m.T @ m.conj()
-
-
-def transfer_fidelity_exact(spec: ChainSpec, state: PureState, t: float) -> float:
-    """Overlap of the receiver's reduced state with the launched state."""
-    rho = reduced_receiver_state(spec, state, t)
-    value = np.vdot(state.amplitudes, rho @ state.amplitudes).real
-    return float(value)
 
 
 # ---------------------------------------------------------------------------

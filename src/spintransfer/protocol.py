@@ -24,28 +24,9 @@ from .amplitudes import (
 from .chain import ChainSpec, ResonanceReport, resonance_report, spectral
 from .errors import ResonanceError
 from .fidelity import fidelity_terms
-from .linalg import EigenDecomposition
 
 _SCAN_CHUNK = 1 << 14
 _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
-
-
-def reduced_amplitude(
-    decomp: EigenDecomposition, cluster, i: int, j: int, t: float
-) -> complex:
-    """Transition amplitude i -> j keeping only the given spectral levels (1-indexed).
-
-    With the cluster set to the quasi-degenerate transfer levels this is the
-    second-order approximation of the full amplitude; with all levels it is
-    exact.
-    """
-    ks = np.asarray(sorted(cluster), dtype=int) - 1
-    if ks.size == 0:
-        raise ValueError("cluster must be nonempty")
-    if ks[0] < 0 or ks[-1] >= decomp.size:
-        raise ValueError("cluster level out of range")
-    phases = np.exp(-1j * decomp.eigenvalues[ks] * t)
-    return complex(np.sum(phases * decomp.eigenvectors[j - 1, ks] * decomp.eigenvectors[i - 1, ks]))
 
 
 def _optional_report(spec: ChainSpec, n: int) -> ResonanceReport | None:

@@ -3,8 +3,10 @@
 Nothing here may call the package's production code paths it is used to
 check: determinants come from cofactor expansion, single-particle propagators
 from a matrix exponential, full-chain evolution from an explicit
-Kronecker-product Hamiltonian on the 2^N space.  `free_fermion_chains` is
-the random-chain strategy the property tests share.
+Kronecker-product Hamiltonian on the 2^N space, a map's action from its
+stored elements, and a receiver's fidelity from the sector engine's
+amplitude tensor.  `free_fermion_chains` is the random-chain strategy the
+property tests share.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import scipy.linalg
 from hypothesis import strategies as st
 
 from spintransfer.chain import ChainSpec
+from spintransfer.oracle import receiver_amplitude_tensor
 
 
 def cofactor_det(a: np.ndarray) -> complex:
@@ -144,3 +147,30 @@ def map_by_environment_loop(tensor: np.ndarray) -> np.ndarray:
         block = tensor[:, e, :]  # [sender p, receiver label]
         a += np.multiply.outer(block.conj().T, block.T).transpose(0, 2, 1, 3)
     return a.reshape(d * d, d * d)
+
+
+def apply_map(m, rho: np.ndarray) -> np.ndarray:
+    """Receiver density matrix of a sender density matrix, from the map's stored elements.
+
+    The stored convention acts on transpose-flattened density matrices.
+    """
+    d = m.d
+    return (m.elements @ np.asarray(rho, dtype=complex).T.reshape(d * d)).reshape(d, d).T
+
+
+def element_fidelities(m, states: np.ndarray) -> np.ndarray:
+    """<psi| L[|psi><psi|] |psi> of each state row, as the quadratic form of the stored elements."""
+    states = np.atleast_2d(states)
+    u = (states.conj()[:, :, None] * states[:, None, :]).reshape(len(states), -1)
+    return np.sum((u.conj() @ m.elements) * u, axis=1).real
+
+
+def receiver_fidelity(spec: ChainSpec, psi: np.ndarray, t: float) -> float:
+    """Overlap with psi of the receiver state after launching psi on the sender block.
+
+    Contracted from the sector engine's amplitude tensor [sender, env, label]:
+    the receiver state is sum_e |r_e><r_e| with r_e = sum_p psi_p T[p, e, :].
+    """
+    n = len(spec.sender_sites)
+    r = np.tensordot(psi, receiver_amplitude_tensor(spec, n, t), axes=([0], [0]))  # (env, label)
+    return float(np.sum(np.abs(r.conj() @ psi) ** 2))

@@ -12,7 +12,6 @@ from spintransfer.protocol import (
     _SCAN_CHUNK,
     fidelity_scan,
     find_optimal_time,
-    reduced_amplitude,
     scan_chunks,
     scan_values,
     transfer_envelope,
@@ -24,43 +23,19 @@ ENG_18 = ChainSpec.weak_coupling(
 )
 
 
-def test_full_cluster_reproduces_exact_amplitude():
-    spec = ChainSpec.uniform(8, n=1)
-    dec = spectral(spec)
-    t = 6.6
-    full = reduced_amplitude(dec, range(1, 9), 2, 7, t)
-    assert full == pytest.approx(transition_matrix(dec, t).entry(2, 7), abs=1e-12)
-
-
-def test_zero_time_cluster_projector():
-    dec = spectral(WEAK_15)
-    cluster = resonance_report(WEAK_15, 3).cluster_indices
-    ks = np.array(cluster) - 1
-    expected = np.sum(dec.eigenvectors[0, ks] * dec.eigenvectors[12, ks])
-    assert reduced_amplitude(dec, cluster, 1, 13, 0.0) == pytest.approx(expected, abs=1e-14)
-
-
 def test_reduced_amplitude_accuracy_over_transfer_window():
     # Truncating to the quasi-degenerate cluster loses only the O(J0) weight
     # that leaks onto the wire levels.
     dec = spectral(WEAK_15)
     rep = resonance_report(WEAK_15, 3)
+    ks = np.array(rep.cluster_indices) - 1
+    weights = dec.eigenvectors[0, ks] * dec.eigenvectors[12, ks]
     worst = 0.0
     for t in np.linspace(0.0, rep.transfer_time, 240):
         full = transition_matrix(dec, t).entry(1, 13)
-        red = reduced_amplitude(dec, rep.cluster_indices, 1, 13, t)
+        red = np.sum(np.exp(-1j * dec.eigenvalues[ks] * t) * weights)
         worst = max(worst, abs(full - red))
     assert worst <= 5e-3
-
-
-def test_reduced_amplitude_validation():
-    dec = spectral(WEAK_15)
-    with pytest.raises(ValueError):
-        reduced_amplitude(dec, [], 1, 13, 0.0)
-    with pytest.raises(ValueError):
-        reduced_amplitude(dec, [0], 1, 13, 0.0)
-    with pytest.raises(ValueError):
-        reduced_amplitude(dec, [16], 1, 13, 0.0)
 
 
 def test_envelope_shape():
