@@ -29,7 +29,7 @@ from .errors import FreeFermionError
 from .linalg import EigenDecomposition, dets, minor
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AmplitudeMatrix:
     """Transition amplitudes between all site pairs at one instant, entry (i, j) = f_i^j."""
 

@@ -21,7 +21,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ResonanceError
-from .linalg import EigenDecomposition, TridiagonalSymmetric, eig_tridiag
+from .linalg import EigenDecomposition, eig_tridiag
 
 # Eigenstates carrying at least this much weight on sender+receiver sites are
 # counted as part of the quasi-degenerate transfer cluster.
@@ -142,10 +142,6 @@ class ChainSpec:
             raise ValueError("wire length must be nonnegative")
         N = wire_length + 2 * n
         couplings = [1.0] * (N - 1)
-        for b in range(1, n):  # bonds inside the sender block
-            couplings[b - 1] = sender_coupling
-        for b in range(N - n + 1, N):  # bonds inside the receiver block
-            couplings[b - 1] = sender_coupling
         couplings[n - 1] = J0
         couplings[N - n - 1] = J0
         return cls(
@@ -155,7 +151,7 @@ class ChainSpec:
             sender_sites=tuple(range(1, n + 1)),
             receiver_sites=tuple(range(N - n + 1, N + 1)),
             J0=J0,
-        )
+        ).with_sender_coupling(sender_coupling)
 
     def with_sender_coupling(self, sender_coupling: float) -> "ChainSpec":
         """Copy of this spec with the intra-block bonds replaced on both blocks."""
@@ -224,22 +220,15 @@ class ResonanceReport:
         return math.pi / self.delta_omega
 
 
-def build_single_particle_hamiltonian(spec: ChainSpec) -> TridiagonalSymmetric:
-    """Hopping matrix of the one-excitation sector: fields on the diagonal, J_i/2 off it.
-
-    The zz-anisotropy never enters here; with the constant energy shift dropped
-    it only acts on states with at least two adjacent excitations.
-    """
-    return TridiagonalSymmetric(
-        diag=np.asarray(spec.fields, dtype=float),
-        offdiag=np.asarray(spec.couplings, dtype=float) / 2.0,
-    )
-
-
 @lru_cache(maxsize=256)
 def spectral(spec: ChainSpec) -> EigenDecomposition:
-    """Eigenvalues and eigenvectors of the single-particle hopping matrix (read-only, cached)."""
-    decomp = eig_tridiag(build_single_particle_hamiltonian(spec))
+    """Eigenvalues and eigenvectors of the single-particle hopping matrix (read-only, cached).
+
+    The matrix has the fields on its diagonal and J_i/2 off it.  The
+    zz-anisotropy never enters; with the constant energy shift dropped it only
+    acts on states with at least two adjacent excitations.
+    """
+    decomp = eig_tridiag(np.asarray(spec.fields), np.asarray(spec.couplings) / 2.0)
     decomp.eigenvalues.flags.writeable = False
     decomp.eigenvectors.flags.writeable = False
     return decomp

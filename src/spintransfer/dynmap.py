@@ -43,7 +43,7 @@ from .oracle import receiver_amplitude_tensor
 VALIDATION_TOL = 1e-8
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DynamicalMap:
     """Dense dynamical map of a d-dimensional block.
 

@@ -1,7 +1,7 @@
 """Dense linear-algebra kernels: tridiagonal eigenproblems, batched determinants, minors.
 
-Matrices are plain numpy arrays; the only wrapped type is the symmetric
-tridiagonal band pair, which is what single-particle hopping problems produce.
+Matrices are plain numpy arrays; a symmetric tridiagonal matrix, which is what
+single-particle hopping problems produce, is passed as its two bands.
 """
 
 from __future__ import annotations
@@ -15,42 +15,7 @@ from .basis import sector_positions
 from .errors import SolverError
 
 
-@dataclass(frozen=True)
-class TridiagonalSymmetric:
-    """Real symmetric tridiagonal matrix stored as (diagonal, off-diagonal) bands."""
-
-    diag: np.ndarray
-    offdiag: np.ndarray
-
-    def __post_init__(self):
-        diag = np.asarray(self.diag, dtype=float)
-        offdiag = np.asarray(self.offdiag, dtype=float)
-        object.__setattr__(self, "diag", diag)
-        object.__setattr__(self, "offdiag", offdiag)
-        if diag.ndim != 1 or offdiag.ndim != 1:
-            raise ValueError("bands must be one-dimensional")
-        if diag.size < 1:
-            raise ValueError("matrix must have at least one row")
-        if offdiag.size != diag.size - 1:
-            raise ValueError(
-                f"off-diagonal length {offdiag.size} does not match diagonal length {diag.size}"
-            )
-        if not (np.all(np.isfinite(diag)) and np.all(np.isfinite(offdiag))):
-            raise ValueError("matrix entries must be finite")
-
-    @property
-    def size(self) -> int:
-        return self.diag.size
-
-    def dense(self) -> np.ndarray:
-        """Explicit dense representation (for tests and tiny problems)."""
-        m = np.diag(self.diag)
-        if self.offdiag.size:
-            m += np.diag(self.offdiag, 1) + np.diag(self.offdiag, -1)
-        return m
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EigenDecomposition:
     """Eigenvalues (ascending) and orthonormal eigenvectors (columns) of a real symmetric matrix."""
 
@@ -62,26 +27,26 @@ class EigenDecomposition:
         return self.eigenvalues.size
 
 
-def eig_tridiag(m: TridiagonalSymmetric) -> EigenDecomposition:
-    """Diagonalise a symmetric tridiagonal matrix.
+def eig_tridiag(diag: np.ndarray, offdiag: np.ndarray) -> EigenDecomposition:
+    """Diagonalise the symmetric tridiagonal matrix with the given bands.
 
-    Eigenvalues come out ascending; each eigenvector is normalised with its
-    first nonzero component positive so repeated runs are bit-identical.
+    Eigenvalues come out ascending (LAPACK's order); each eigenvector is
+    normalised with its first component above 1e-12 in magnitude positive, so
+    repeated runs are bit-identical.  A unit vector of length N has an entry
+    of at least 1/sqrt(N), so every column has such a component.  scipy
+    rejects mismatched, empty and non-finite bands with ValueError; 2-D bands
+    are rejected here, since scipy would accept some of them.
     """
+    if np.ndim(diag) != 1 or np.ndim(offdiag) != 1:
+        raise ValueError("bands must be one-dimensional")
     try:
-        w, v = scipy.linalg.eigh_tridiagonal(m.diag, m.offdiag)
+        w, v = scipy.linalg.eigh_tridiagonal(diag, offdiag)
     except scipy.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK rarely fails
-        raise SolverError(f"tridiagonal eigensolver failed for size {m.size}: {exc}") from exc
-    order = np.argsort(w, kind="stable")
-    w = w[order]
-    v = v[:, order]
-    # Fix the sign of each column: first component above threshold made positive.
-    for k in range(v.shape[1]):
-        col = v[:, k]
-        nz = np.flatnonzero(np.abs(col) > 1e-12)
-        pivot = nz[0] if nz.size else int(np.argmax(np.abs(col)))
-        if col[pivot] < 0:
-            v[:, k] = -col
+        raise SolverError(
+            f"tridiagonal eigensolver failed for size {np.size(diag)}: {exc}"
+        ) from exc
+    pivots = np.argmax(np.abs(v) > 1e-12, axis=0)
+    np.negative(v, out=v, where=v[pivots, np.arange(v.shape[1])] < 0)
     return EigenDecomposition(eigenvalues=w, eigenvectors=v)
 
 

@@ -30,7 +30,7 @@ from .errors import DimensionCapError
 MAX_SECTOR_DIM = 1 << 14
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PureState:
     """Normalised state vector over some fixed basis ordering."""
 
@@ -80,7 +80,7 @@ class McResult:
 
 @lru_cache(maxsize=128)
 def _sector(spec: ChainSpec, k: int):
-    """Basis, Hamiltonian and eigendecomposition of the k-excitation sector."""
+    """Basis, basis index and Hamiltonian eigendecomposition of the k-excitation sector."""
     dim = math.comb(spec.N, k)
     if dim > MAX_SECTOR_DIM:
         raise DimensionCapError(
@@ -102,9 +102,9 @@ def _sector(spec: ChainSpec, k: int):
                 b = index[moved]
                 h[a, b] = h[b, a] = couplings[s - 1] / 2.0
     w, v = np.linalg.eigh(h)
-    for array in (h, w, v):
+    for array in (w, v):
         array.flags.writeable = False
-    return basis, index, h, w, v
+    return basis, index, w, v
 
 
 def _real_matmul(v: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -114,7 +114,7 @@ def _real_matmul(v: np.ndarray, z: np.ndarray) -> np.ndarray:
 
 def evolve_block(spec: ChainSpec, state: PureState, t: float, *, excitations: int) -> PureState:
     """Exact evolution of a state living in one excitation sector of the chain."""
-    basis, _, _, w, v = _sector(spec, excitations)
+    basis, _, w, v = _sector(spec, excitations)
     if state.dimension != len(basis):
         raise ValueError(
             f"state dimension {state.dimension} does not match sector size {len(basis)}"
@@ -172,7 +172,7 @@ def receiver_amplitude_tensor(spec: ChainSpec, n: int, t: float) -> np.ndarray:
     sender_subsets = subsets_by_excitation(n)
     for p, subset in enumerate(sender_subsets):
         k = len(subset)
-        _, index, _, w, v = sectors[k]
+        _, index, w, v = sectors[k]
         # The launched basis state's eigen-coefficients are one row of v.
         psi = _real_matmul(v, np.exp(-1j * w * t) * v[index[subset]])
         env_col, lab_col = tables[k]

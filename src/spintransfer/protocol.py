@@ -55,7 +55,7 @@ def phase_aligned_fidelity(f):
     return 0.5 + f**2 / 6.0 + f / 3.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FidelityScan:
     """Average transfer fidelity and its ingredients over a time grid."""
 
@@ -143,7 +143,7 @@ def _joined(pieces: dict) -> dict:
     return {key: np.concatenate(pieces.pop(key)) for key in list(pieces)}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProtocolResult:
     """Outcome of an optimal-time search over one scan window."""
 

@@ -8,7 +8,6 @@ from spintransfer.chain import (
     ChainSpec,
     Regime,
     _numerical_cluster,
-    build_single_particle_hamiltonian,
     engineered_sender_coupling,
     resonance_report,
     spectral,
@@ -16,30 +15,36 @@ from spintransfer.chain import (
 
 
 def test_two_site_hamiltonian():
+    """V diag(w) V^T is the tridiagonal matrix with the fields and J_i / 2."""
     spec = ChainSpec.uniform(2, n=1)
-    m = build_single_particle_hamiltonian(spec)
-    assert m.diag.tolist() == [0.0, 0.0]
-    assert m.offdiag.tolist() == [0.5]
+    assert spec.fields == (0.0, 0.0)
+    assert spec.couplings == (1.0,)
+    fielded = ChainSpec.weak_coupling(6, 2, J0=0.05, sender_coupling=0.8, field=0.3)
+    for s in (spec, fielded):
+        dec = spectral(s)
+        j, h = np.asarray(s.couplings), np.asarray(s.fields)
+        tridiagonal = np.diag(h) + np.diag(j / 2.0, 1) + np.diag(j / 2.0, -1)
+        reconstructed = dec.eigenvectors @ np.diag(dec.eigenvalues) @ dec.eigenvectors.T
+        assert np.max(np.abs(reconstructed - tridiagonal)) <= 1e-12
 
 
 def test_weak_coupling_bond_placement():
     spec = ChainSpec.weak_coupling(wire_length=9, n=3, J0=0.01)
     assert spec.N == 15
-    m = build_single_particle_hamiltonian(spec)
-    off = m.offdiag
-    assert off[2] == pytest.approx(0.005)
-    assert off[11] == pytest.approx(0.005)
-    others = np.delete(off, [2, 11])
-    assert np.allclose(others, 0.5)
+    j = np.asarray(spec.couplings)
+    assert j[2] == pytest.approx(0.01)
+    assert j[11] == pytest.approx(0.01)
+    others = np.delete(j, [2, 11])
+    assert np.allclose(others, 1.0)
     assert spec.weak_bonds() == (3, 12)
 
 
 def test_anisotropy_does_not_touch_single_particle_sector():
     base = ChainSpec.uniform(5, n=1)
     aniso = ChainSpec.from_dict({**base.to_dict(), "delta": 0.7})
-    ma, mb = build_single_particle_hamiltonian(base), build_single_particle_hamiltonian(aniso)
-    assert np.array_equal(ma.diag, mb.diag)
-    assert np.array_equal(ma.offdiag, mb.offdiag)
+    a, b = spectral(base), spectral(aniso)
+    assert np.array_equal(a.eigenvalues, b.eigenvalues)
+    assert np.array_equal(a.eigenvectors, b.eigenvectors)
 
 
 def test_spectral_single_site():

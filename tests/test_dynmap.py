@@ -15,7 +15,7 @@ from helpers import (
     random_unitary,
 )
 from spintransfer import dynmap
-from spintransfer.amplitudes import chain_transition_matrix, transfer_block_series
+from spintransfer.amplitudes import AmplitudeMatrix, chain_transition_matrix, transfer_block_series
 from spintransfer.chain import ChainSpec, engineered_sender_coupling, resonance_report, spectral
 from spintransfer.dynmap import (
     DynamicalMap,
@@ -36,7 +36,9 @@ from spintransfer.dynmap import (
 )
 from spintransfer.errors import DimensionCapError, MapConstructionError
 from spintransfer.fidelity import avg_fidelity_from_map, independent_channels_fidelity
+from spintransfer.linalg import EigenDecomposition
 from spintransfer.oracle import (
+    PureState,
     _chunk_size,
     _sector,
     haar_states,
@@ -44,7 +46,7 @@ from spintransfer.oracle import (
     receiver_amplitude_tensor,
     sample_fidelity_values,
 )
-from spintransfer.protocol import scan_values
+from spintransfer.protocol import FidelityScan, ProtocolResult, scan_values
 
 # Nonzero element pattern of the two-site-block transfer map: row (i,j), column
 # (n,m), flattened as 4*i+j / 4*n+m.  Everything else must vanish identically.
@@ -639,3 +641,35 @@ def test_gram_choi_bound_is_compared_with_the_tolerance(monkeypatch):
     for delta in (0.0, 0.3):
         with pytest.raises(MapConstructionError):
             map_from_evolution(_anisotropic(8, 3, delta), 3, 6.1)
+
+
+def test_array_holding_dataclasses_compare_and_hash_by_identity():
+    """Frozen dataclasses with ndarray fields use identity equality, so == and hash() work."""
+    factories = [
+        lambda: identity_map(2),
+        lambda: EigenDecomposition(eigenvalues=np.zeros(2), eigenvectors=np.eye(2)),
+        lambda: AmplitudeMatrix(time=0.0, entries=np.eye(2)),
+        lambda: PureState(2, np.array([1.0, 0.0])),
+        lambda: FidelityScan(
+            block_size=1,
+            times=np.zeros(2),
+            fidelity=np.ones(2),
+            classical_term=np.ones(2),
+            quantum_term=np.zeros(2),
+            envelope=None,
+            amplitudes={(1,): np.ones(2)},
+        ),
+        lambda: ProtocolResult(
+            optimal_time=1.0,
+            fidelity_at_optimum=1.0,
+            envelope_period=None,
+            cluster=None,
+            times=np.zeros(2),
+            fidelity=np.ones(2),
+        ),
+    ]
+    for make in factories:
+        a, b = make(), make()
+        assert a != b  # equal contents, distinct objects
+        hash(a)
+        assert a == a

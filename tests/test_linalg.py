@@ -3,40 +3,37 @@ import pytest
 
 from helpers import cofactor_det
 from spintransfer.basis import excitation_sector, sector_positions, subsets_by_excitation
-from spintransfer.linalg import (
-    TridiagonalSymmetric,
-    compound_matrix,
-    dets,
-    eig_tridiag,
-    minor,
-)
+from spintransfer.linalg import compound_matrix, dets, eig_tridiag, minor
+
+
+def _dense(diag, offdiag) -> np.ndarray:
+    """The symmetric tridiagonal matrix with the given bands."""
+    return np.diag(diag) + np.diag(offdiag, 1) + np.diag(offdiag, -1)
 
 
 def test_two_site_closed_form():
-    m = TridiagonalSymmetric(diag=[0.0, 0.0], offdiag=[0.5])
-    dec = eig_tridiag(m)
+    dec = eig_tridiag(np.zeros(2), np.array([0.5]))
     assert np.allclose(dec.eigenvalues, [-0.5, 0.5], atol=1e-14)
 
 
 def test_diagonal_matrix_has_identity_eigenvectors():
-    m = TridiagonalSymmetric(diag=[1.5] * 4, offdiag=[0.0] * 3)
-    dec = eig_tridiag(m)
+    dec = eig_tridiag(np.full(4, 1.5), np.zeros(3))
     assert np.allclose(dec.eigenvalues, 1.5)
     assert np.allclose(dec.eigenvectors, np.eye(4), atol=1e-14)
 
 
 def test_uniform_five_site_band():
     # Open uniform chain: eigenvalues J cos(k pi / (N+1)), ascending.
-    m = TridiagonalSymmetric(diag=np.zeros(5), offdiag=np.full(4, 0.5))
-    dec = eig_tridiag(m)
+    diag, offdiag = np.zeros(5), np.full(4, 0.5)
+    dec = eig_tridiag(diag, offdiag)
     expected = np.sort(np.cos(np.arange(1, 6) * np.pi / 6.0))
     assert np.allclose(dec.eigenvalues, expected, atol=1e-12)
-    brute = np.linalg.eigvalsh(m.dense())
+    brute = np.linalg.eigvalsh(_dense(diag, offdiag))
     assert np.allclose(dec.eigenvalues, brute, atol=1e-12)
 
 
 def test_single_site():
-    dec = eig_tridiag(TridiagonalSymmetric(diag=[2.0], offdiag=[]))
+    dec = eig_tridiag(np.array([2.0]), np.empty(0))
     assert dec.eigenvalues.tolist() == [2.0]
     assert dec.eigenvectors.tolist() == [[1.0]]
 
@@ -44,23 +41,23 @@ def test_single_site():
 @pytest.mark.parametrize("n", [2, 7, 33, 64])
 def test_reconstruction_orthonormality_trace(n):
     rng = np.random.default_rng(1000 + n)
-    m = TridiagonalSymmetric(diag=rng.normal(size=n), offdiag=rng.normal(size=n - 1))
-    dec = eig_tridiag(m)
-    a = m.dense()
+    diag, offdiag = rng.normal(size=n), rng.normal(size=n - 1)
+    dec = eig_tridiag(diag, offdiag)
+    a = _dense(diag, offdiag)
     assert np.all(np.diff(dec.eigenvalues) >= 0)
     for k in range(n):
         res = a @ dec.eigenvectors[:, k] - dec.eigenvalues[k] * dec.eigenvectors[:, k]
         assert np.max(np.abs(res)) <= 1e-10
     gram = dec.eigenvectors.T @ dec.eigenvectors
     assert np.max(np.abs(gram - np.eye(n))) <= 1e-10
-    assert abs(dec.eigenvalues.sum() - m.diag.sum()) <= 1e-10
+    assert abs(dec.eigenvalues.sum() - diag.sum()) <= 1e-10
 
 
 def test_sign_convention_and_determinism():
     rng = np.random.default_rng(7)
-    m = TridiagonalSymmetric(diag=rng.normal(size=12), offdiag=rng.normal(size=11))
-    a = eig_tridiag(m)
-    b = eig_tridiag(m)
+    diag, offdiag = rng.normal(size=12), rng.normal(size=11)
+    a = eig_tridiag(diag, offdiag)
+    b = eig_tridiag(diag, offdiag)
     assert np.array_equal(a.eigenvalues, b.eigenvalues)
     assert np.array_equal(a.eigenvectors, b.eigenvectors)
     for k in range(12):
@@ -71,11 +68,13 @@ def test_sign_convention_and_determinism():
 
 def test_band_validation():
     with pytest.raises(ValueError):
-        TridiagonalSymmetric(diag=[1.0, 2.0], offdiag=[0.1, 0.2])
+        eig_tridiag(np.array([1.0, 2.0]), np.array([0.1, 0.2]))
     with pytest.raises(ValueError):
-        TridiagonalSymmetric(diag=[], offdiag=[])
+        eig_tridiag(np.empty(0), np.empty(0))
     with pytest.raises(ValueError):
-        TridiagonalSymmetric(diag=[np.inf], offdiag=[])
+        eig_tridiag(np.array([np.inf]), np.empty(0))
+    with pytest.raises(ValueError):
+        eig_tridiag(np.eye(2), np.array([0.3]))
 
 
 def test_det_rejects_nonsquare():

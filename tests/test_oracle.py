@@ -57,8 +57,8 @@ def test_single_excitation_sector_ignores_anisotropy():
 
 
 def test_cached_sector_arrays_are_read_only():
-    _, _, h, w, v = _sector(ChainSpec.uniform(6, n=2), 2)
-    for array in (h, w, v):
+    _, _, w, v = _sector(ChainSpec.uniform(6, n=2), 2)
+    for array in (w, v):
         with pytest.raises(ValueError):
             array[0] = 0.0
 
@@ -83,7 +83,8 @@ def test_norm_and_energy_conservation():
     amps = rng.standard_normal(len(basis)) + 1j * rng.standard_normal(len(basis))
     amps /= np.linalg.norm(amps)
     state = PureState(len(basis), amps)
-    h = _sector(spec, 2)[2]
+    rows = [full_space_index(sites, 8) for sites in basis]
+    h = full_space_hamiltonian(spec)[np.ix_(rows, rows)]
     e0 = np.vdot(amps, h @ amps).real
     out = evolve_block(spec, state, 100.0, excitations=2)
     assert abs(np.sum(np.abs(out.amplitudes) ** 2) - 1.0) <= 1e-10
