@@ -1,11 +1,12 @@
 """Single- and multi-excitation transition amplitudes of a hopping chain.
 
-The N x N matrix F(t) collects the one-excitation amplitudes
-f_i^j(t) = sum_k exp(-i w_k t) phi_{jk} phi_{ki} between sites i and j.  For a
-chain with zero zz-anisotropy the amplitude for moving a whole set of
-excitations S to a set R equals the determinant of the F(t) submatrix with
-rows S and columns R, both taken in ascending site order; with that ordering
-the set-to-itself amplitude is +1 at t = 0.
+F(t) is a plain (N, N) complex array of the one-excitation amplitudes
+f_i^j(t) = sum_k exp(-i w_k t) phi_{jk} phi_{ki} between sites i and j, with
+sites 1-indexed and F[i-1, j-1] = f_i^j.  For a chain with zero zz-anisotropy
+the amplitude for moving a whole set of excitations S to a set R equals the
+determinant of the F(t) submatrix with rows S and columns R, both taken in
+ascending site order; with that ordering the set-to-itself amplitude is +1 at
+t = 0.
 
 Transfer amplitudes pair each sender subset S with its positional partner on
 the receiver block, S + (N - n).  The pairing preserves order, so the
@@ -29,22 +30,6 @@ from .errors import FreeFermionError
 from .linalg import EigenDecomposition, dets, minor
 
 
-@dataclass(frozen=True, eq=False)
-class AmplitudeMatrix:
-    """Transition amplitudes between all site pairs at one instant, entry (i, j) = f_i^j."""
-
-    time: float
-    entries: np.ndarray
-
-    @property
-    def size(self) -> int:
-        return self.entries.shape[0]
-
-    def entry(self, i: int, j: int) -> complex:
-        """Amplitude from site i to site j (1-indexed)."""
-        return complex(self.entries[i - 1, j - 1])
-
-
 @dataclass(frozen=True)
 class TransferAmplitudeSet:
     """Amplitudes f_S^S for every nonempty sender subset S and its receiver partner."""
@@ -61,14 +46,13 @@ class TransferAmplitudeSet:
             )
 
 
-def transition_matrix(decomp: EigenDecomposition, t: float) -> AmplitudeMatrix:
-    """Propagator matrix F(t) from a single-particle eigendecomposition."""
+def transition_matrix(decomp: EigenDecomposition, t: float) -> np.ndarray:
+    """Propagator matrix F(t) from a single-particle eigendecomposition, F[i-1, j-1] = f_i^j."""
     phases = np.exp(-1j * decomp.eigenvalues * t)
-    entries = (decomp.eigenvectors * phases) @ decomp.eigenvectors.T
-    return AmplitudeMatrix(time=float(t), entries=entries)
+    return (decomp.eigenvectors * phases) @ decomp.eigenvectors.T
 
 
-def chain_transition_matrix(spec: ChainSpec, t: float) -> AmplitudeMatrix:
+def chain_transition_matrix(spec: ChainSpec, t: float) -> np.ndarray:
     """F(t) for a chain spec; rejects anisotropic chains the minors cannot describe."""
     require_free_fermion(spec)
     return transition_matrix(spectral(spec), t)
@@ -82,7 +66,7 @@ def require_free_fermion(spec: ChainSpec) -> None:
         )
 
 
-def multi_amplitude(F: AmplitudeMatrix, senders, receivers) -> complex:
+def multi_amplitude(F: np.ndarray, senders, receivers) -> complex:
     """Amplitude for excitations on `senders` to end up on `receivers`.
 
     Both site sets are 1-indexed and must be strictly ascending; they are used
@@ -90,15 +74,15 @@ def multi_amplitude(F: AmplitudeMatrix, senders, receivers) -> complex:
     """
     s = [int(x) - 1 for x in senders]
     r = [int(x) - 1 for x in receivers]
-    return minor(F.entries, s, r)
+    return minor(F, s, r)
 
 
-def transfer_amplitudes(F: AmplitudeMatrix, n: int) -> TransferAmplitudeSet:
+def transfer_amplitudes(F: np.ndarray, n: int) -> TransferAmplitudeSet:
     """All f_S^S between the edge blocks of an N-site chain, subsets ordered canonically."""
-    N = F.size
+    N = F.shape[0]
     if not 1 <= n <= N // 2 and not (N == 1 and n == 1):
         raise ValueError(f"block size {n} does not fit a chain of {N} sites")
-    minors = subset_minor_series(F.entries[None, :n, N - n :])
+    minors = subset_minor_series(F[None, :n, N - n :])
     return TransferAmplitudeSet(block_size=n, entries={S: complex(f[0]) for S, f in minors.items()})
 
 

@@ -140,6 +140,8 @@ class ChainSpec:
         """
         if wire_length < 0:
             raise ValueError("wire length must be nonnegative")
+        if n < 1:
+            raise ValueError(f"block size must be positive, got {n}")
         N = wire_length + 2 * n
         couplings = [1.0] * (N - 1)
         couplings[n - 1] = J0
@@ -302,9 +304,9 @@ def _numerical_cluster(spec: ChainSpec, decomp: EigenDecomposition):
 def resonance_report(spec: ChainSpec, n: int | None = None) -> ResonanceReport:
     """Locate the quasi-degenerate levels of the weak-coupling transfer.
 
-    For three-site blocks on an off-resonant wire the positions follow closed
-    formulas; everything else is classified numerically from eigenvector
-    weights on the blocks.
+    For uniform three-site blocks on a wire of length 4l+1 the positions follow
+    closed formulas; everything else is classified numerically from
+    eigenvector weights on the blocks.
     """
     n = spec.block_size if n is None else n
     if n != spec.block_size:
@@ -314,44 +316,34 @@ def resonance_report(spec: ChainSpec, n: int | None = None) -> ResonanceReport:
     if spec.wire_length < 1:
         raise ValueError("resonance analysis needs a nonempty wire")
     decomp = spectral(spec)
-    omega = decomp.eigenvalues
     n_w = spec.wire_length
 
     intra = [spec.couplings[b - 1] for b in range(1, n)]
-    wire_bonds = range(n + 1, spec.N - n)  # bonds strictly inside the wire
-    reference = spec.couplings[n] if len(wire_bonds) else 1.0
+    reference = spec.couplings[n] if n_w > 1 else 1.0  # bond n + 1, the first inside the wire
     engineered = not all(math.isclose(j, reference, rel_tol=1e-12) for j in intra)
 
-    if n == 3 and not engineered and n_w % 2 == 1:
-        # Odd wires hold a zero-energy level resonant with the block centre
-        # level; wires of length 4l+3 additionally resonate with the outer
-        # block levels.
-        regime = Regime.NON_RESONANT if n_w % 4 == 1 else Regime.RESONANT
-        if regime is Regime.NON_RESONANT:
-            N = spec.N
-            a = math.ceil((N - 5) / 4)
-            first = (N // 2, N // 2 + 1, N // 2 + 2)
-            second = (a, a + 1, N - a, N - a + 1)
-            cluster = tuple(sorted(first + second))
-            delta_omega = float(omega[a] - omega[a - 1])
-            return ResonanceReport(first, second, delta_omega, cluster, regime)
-        first, second, cluster, delta_omega = _numerical_cluster(spec, decomp)
-        return ResonanceReport(first, second, delta_omega, cluster, regime)
-    if n == 3 and not engineered:
-        # Even wires have no level in resonance with the block spectrum.
-        first, second, cluster, delta_omega = _numerical_cluster(spec, decomp)
-        return ResonanceReport(first, second, delta_omega, cluster, Regime.NON_RESONANT)
-
-    first, second, cluster, delta_omega = _numerical_cluster(spec, decomp)
+    note = ""
     if engineered:
         regime = Regime.ENGINEERED
-        note = ""
+    elif n == 3:
+        # Odd wires hold a zero-energy level resonant with the block centre level; wires
+        # of length 4l+3 also resonate with the outer block levels, even wires with none.
+        regime = Regime.RESONANT if n_w % 4 == 3 else Regime.NON_RESONANT
     else:
-        all_resonant = (n_w + 1) % 5 == 0
-        regime = Regime.RESONANT if all_resonant else Regime.NON_RESONANT
-        note = (
-            "uniform 4-site blocks: all four block levels resonate with wire levels"
-            if all_resonant
-            else "uniform 4-site blocks: no block level resonates with a wire level"
+        regime = Regime.RESONANT if (n_w + 1) % 5 == 0 else Regime.NON_RESONANT
+        note = "uniform 4-site blocks: " + (
+            "all four block levels resonate with wire levels"
+            if regime is Regime.RESONANT
+            else "no block level resonates with a wire level"
         )
+
+    if n == 3 and not engineered and n_w % 4 == 1:  # the paper's 3-qubit condition
+        N = spec.N
+        a = math.ceil((N - 5) / 4)
+        first = (N // 2, N // 2 + 1, N // 2 + 2)
+        second = (a, a + 1, N - a, N - a + 1)
+        cluster = tuple(sorted(first + second))
+        delta_omega = float(decomp.eigenvalues[a] - decomp.eigenvalues[a - 1])
+    else:
+        first, second, cluster, delta_omega = _numerical_cluster(spec, decomp)
     return ResonanceReport(first, second, delta_omega, cluster, regime, note)

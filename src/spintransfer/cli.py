@@ -231,8 +231,6 @@ def cmd_make_spec(config: argparse.Namespace) -> int:
 def cmd_spectrum(config: argparse.Namespace) -> int:
     spec, js = _apply_engineering(_load_chain(config.spec), config.engineer)
     n = spec.block_size
-    if 2 * n > spec.N or spec.N < 2:
-        raise ConfigError(f"block size n={n} does not fit this chain (N={spec.N})")
     decomp = spectral(spec)
     payload: dict = {
         "N": spec.N,
@@ -382,6 +380,8 @@ def cmd_montecarlo(config: argparse.Namespace) -> int:
         n_qubits = config.n if config.n is not None else spec.block_size
         if config.t is None:
             raise ConfigError("--t (evolution time) is required with --spec")
+        if not math.isfinite(config.t):
+            raise ConfigError(f"--t must be finite, got {config.t}")
     if not 1 <= n_qubits <= MAX_MAP_QUBITS:
         raise ConfigError(
             f"a map on n={n_qubits} qubits: n must be 1 to {MAX_MAP_QUBITS} (4**n complex elements)"

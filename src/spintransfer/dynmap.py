@@ -33,7 +33,7 @@ from functools import lru_cache, reduce
 
 import numpy as np
 
-from .amplitudes import AmplitudeMatrix, transfer_block_series
+from .amplitudes import transfer_block_series
 from .basis import block_index, subsets_by_excitation
 from .chain import ChainSpec, spectral
 from .errors import MapConstructionError
@@ -53,7 +53,6 @@ class DynamicalMap:
 
     d: int
     elements: np.ndarray
-    basis_order: str = "excitation-lex"
     kraus: np.ndarray | None = None
 
     def __post_init__(self):
@@ -67,9 +66,6 @@ class DynamicalMap:
             kraus = np.asarray(self.kraus, dtype=complex).view()
             kraus.flags.writeable = False
             object.__setattr__(self, "kraus", kraus)
-
-    def element(self, i: int, j: int, n: int, m: int) -> complex:
-        return complex(self.elements[i * self.d + j, n * self.d + m])
 
     def as_tensor(self) -> np.ndarray:
         """View with separate indices [i, j, n, m]."""
@@ -172,16 +168,14 @@ def _gram_choi_bound(amplitudes: np.ndarray) -> float:
     return 2.0 * np.sqrt(2.0) * mu / (1.0 - mu) * float(np.linalg.norm(amplitudes)) ** 2
 
 
-def _gram_map(
-    amplitudes: np.ndarray, what: str, basis_order: str = "excitation-lex"
-) -> DynamicalMap:
+def _gram_map(amplitudes: np.ndarray, what: str) -> DynamicalMap:
     """The map _stored_gram(T) of the amplitude tensor T[P, i, x]; raise unless it is physical.
 
     Trace preservation, the diagonal bounds and the total sum are read from the
     elements.  Choi positivity and the hermiticity pairing hold exactly before
     rounding, and _gram_choi_bound(T) covers both, so nothing is diagonalised.
     """
-    m = DynamicalMap(amplitudes.shape[0], _stored_gram(amplitudes), basis_order, amplitudes)
+    m = DynamicalMap(amplitudes.shape[0], _stored_gram(amplitudes), amplitudes)
     worst = max(*_element_deviations(m).values(), _gram_choi_bound(amplitudes))
     if worst > VALIDATION_TOL:
         raise MapConstructionError(f"{what} produced an unphysical map (violation {worst:.3e})")
@@ -242,7 +236,7 @@ def one_qubit_map(f: complex) -> DynamicalMap:
     return _gram_map(_one_qubit_kraus(f), "one_qubit_map")
 
 
-def two_qubit_map(F: AmplitudeMatrix, N: int) -> DynamicalMap:
+def two_qubit_map(F: np.ndarray, N: int) -> DynamicalMap:
     """Transfer map for a two-site sender block, from the transition matrix F alone.
 
     Sender sites (1, 2), receiver sites (N-1, N) labelled positionally
@@ -250,11 +244,11 @@ def two_qubit_map(F: AmplitudeMatrix, N: int) -> DynamicalMap:
     through the 2 x 2 block of sender rows and receiver columns, which
     _kraus_from_block turns into the amplitude tensor.
     """
-    if N != F.size:
-        raise ValueError(f"matrix size {F.size} does not match N={N}")
+    if N != F.shape[0]:
+        raise ValueError(f"matrix size {F.shape[0]} does not match N={N}")
     if N < 4:
         raise ValueError("two-qubit transfer needs at least 4 sites")
-    return _gram_map(_kraus_from_block(F.entries[:2, N - 2 :]), "two_qubit_map")
+    return _gram_map(_kraus_from_block(F[:2, N - 2 :]), "two_qubit_map")
 
 
 @lru_cache(maxsize=8)
@@ -339,7 +333,7 @@ def tensor_product(a: DynamicalMap, b: DynamicalMap) -> DynamicalMap:
     """
     if a.kraus is None or b.kraus is None:
         raise ValueError("tensor_product needs maps that keep their Kraus tensor")
-    return _gram_map(np.kron(a.kraus, b.kraus), "tensor_product", "product-lex")
+    return _gram_map(np.kron(a.kraus, b.kraus), "tensor_product")
 
 
 def independent_channels_map(f: complex, n: int) -> DynamicalMap:
@@ -351,7 +345,7 @@ def independent_channels_map(f: complex, n: int) -> DynamicalMap:
     if n < 1:
         raise ValueError("need at least one channel")
     kraus = reduce(np.kron, [_one_qubit_kraus(f)] * n)
-    return _gram_map(kraus, "independent_channels_map", "product-lex" if n > 1 else "excitation-lex")
+    return _gram_map(kraus, "independent_channels_map")
 
 
 # ---------------------------------------------------------------------------

@@ -158,16 +158,11 @@ def fidelity_terms(amplitudes, d: int, total_amplitude=None) -> TransferFidelity
     return TransferFidelityTerms(total, random_guess, classical, total - (random_guess + classical))
 
 
-def transfer_fidelity_terms(amps: TransferAmplitudeSet, d: int) -> TransferFidelityTerms:
-    """Decomposed average fidelity from the transfer amplitude set of an n-site block."""
-    if d != 2**amps.block_size:
-        raise ValueError(f"dimension {d} does not match block size {amps.block_size}")
-    return fidelity_terms(amps.entries.values(), d)
-
-
 def avg_fidelity_from_amplitudes(amps: TransferAmplitudeSet, d: int) -> float:
     """Average transfer fidelity of an n-site block: 1/(d+1) + |1 + sum_S f_S^S|^2 / (d(d+1))."""
-    return transfer_fidelity_terms(amps, d).total
+    if d != 2**amps.block_size:
+        raise ValueError(f"dimension {d} does not match block size {amps.block_size}")
+    return fidelity_terms(amps.entries.values(), d).total
 
 
 def avg_fidelity_two_qubit(f1: complex, f2: complex, f12: complex) -> float:

@@ -31,12 +31,10 @@ _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 
 def _optional_report(spec: ChainSpec, n: int) -> ResonanceReport | None:
     """Resonance analysis of the chain, or None where the layout has none."""
-    if n in (3, 4) and spec.wire_length >= 1:
-        try:
-            return resonance_report(spec, n)
-        except (ValueError, ResonanceError):
-            pass
-    return None
+    try:
+        return resonance_report(spec, n)
+    except (ValueError, ResonanceError):
+        return None
 
 
 def transfer_envelope(spec: ChainSpec, n: int) -> Callable[[np.ndarray], np.ndarray]:
@@ -73,6 +71,8 @@ def _block_chunks(spec: ChainSpec, n: int, times: np.ndarray):
 
     An empty grid is one empty slice, so joining the pieces always has a piece to join.
     """
+    if n != spec.block_size:
+        raise ValueError(f"block size mismatch: spec has {spec.block_size}, got {n}")
     require_free_fermion(spec)
     decomp = spectral(spec)
     for lo in range(0, max(times.size, 1), _SCAN_CHUNK):

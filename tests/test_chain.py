@@ -117,6 +117,9 @@ def test_validation_failures():
     with pytest.raises(ValueError):  # weak bond coupling inconsistent with J0
         ChainSpec(N=4, couplings=(1.0,) * 3, fields=(0.0,) * 4, sender_sites=(1,),
                   receiver_sites=(4,), J0=0.5)
+    for n in (0, -1):  # checked before the weak bonds are placed
+        with pytest.raises(ValueError, match="block size"):
+            ChainSpec.weak_coupling(5, n, J0=0.01)
 
 
 @pytest.mark.parametrize("delta", [math.nan, math.inf, -math.inf])
@@ -176,6 +179,23 @@ def test_four_site_uniform_all_or_none():
     rep_res = resonance_report(spec_res, 4)
     assert rep_res.regime is Regime.RESONANT
     assert "all four" in rep_res.note
+
+
+@pytest.mark.parametrize("sender_coupling", [1.0, 0.8])
+@pytest.mark.parametrize("wire", range(1, 21))
+@pytest.mark.parametrize("n", [3, 4])
+def test_regime_rule(n, wire, sender_coupling):
+    """Tuned blocks are engineered; uniform blocks resonate on wires of 4l+3 (n=3) or 5l+4 (n=4)."""
+    spec = ChainSpec.weak_coupling(wire_length=wire, n=n, J0=0.01, sender_coupling=sender_coupling)
+    rep = resonance_report(spec, n)
+    if sender_coupling != 1.0:
+        expected = Regime.ENGINEERED
+    elif (n == 3 and wire % 4 == 3) or (n == 4 and (wire + 1) % 5 == 0):
+        expected = Regime.RESONANT
+    else:
+        expected = Regime.NON_RESONANT
+    assert rep.regime is expected
+    assert bool(rep.note) == (n == 4 and expected is not Regime.ENGINEERED)
 
 
 def test_engineered_report():

@@ -313,6 +313,20 @@ def test_montecarlo_amplitude_out_of_range_exits_2(tmp_path, capsys, amplitude):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("t", ["nan", "inf"])
+def test_montecarlo_time_must_be_finite(weak15, tmp_path, monkeypatch, capsys, t):
+    def no_map(*args, **kwargs):
+        raise AssertionError("a map was built")
+
+    monkeypatch.setattr(cli, "map_from_evolution", no_map)
+    out = tmp_path / "mc.json"
+    assert run(["montecarlo", "--spec", weak15, "--t", t, "--seed", 1, "--samples", 10,
+                "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --t") and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_montecarlo_requires_seed():
     assert run(["montecarlo", "--identity", "--n", 1, "--samples", 100]) == 2
 

@@ -29,6 +29,7 @@ from spintransfer.fidelity import (
     avg_fidelity_from_amplitudes,
     avg_fidelity_from_map,
     avg_fidelity_two_qubit,
+    fidelity_terms,
     independent_channels_fidelity,
     independent_channels_stats,
     product_ratio_vs_amplitude,
@@ -36,7 +37,6 @@ from spintransfer.fidelity import (
     product_state_variance,
     second_moment_from_map,
     stats_from_map,
-    transfer_fidelity_terms,
 )
 from spintransfer.oracle import sample_fidelity_values
 
@@ -186,7 +186,7 @@ def test_amplitude_formula_limits():
 
 
 def test_amplitude_decomposition_terms():
-    terms = transfer_fidelity_terms(_uniform_amplitudes(3, 1.0), 8)
+    terms = fidelity_terms(_uniform_amplitudes(3, 1.0).entries.values(), 8)
     # With all transition probabilities saturated the incoherent part reaches
     # the classical benchmark and the coherent part tops up to (d-1)/(d+1).
     assert terms.random_guess + terms.classical == pytest.approx(2.0 / 9.0, abs=1e-12)

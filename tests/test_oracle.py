@@ -44,7 +44,7 @@ def test_single_excitation_matches_transition_matrix():
         for i in (1, 4, 7):
             out = evolve_block(spec, _unit_state(spec.N, i - 1), t, excitations=1)
             for j in range(1, spec.N + 1):
-                assert out.amplitudes[j - 1] == pytest.approx(F.entry(i, j), abs=1e-10)
+                assert out.amplitudes[j - 1] == pytest.approx(F[i - 1, j - 1], abs=1e-10)
 
 
 def test_single_excitation_sector_ignores_anisotropy():

@@ -32,7 +32,7 @@ def test_reduced_amplitude_accuracy_over_transfer_window():
     weights = dec.eigenvectors[0, ks] * dec.eigenvectors[12, ks]
     worst = 0.0
     for t in np.linspace(0.0, rep.transfer_time, 240):
-        full = transition_matrix(dec, t).entry(1, 13)
+        full = transition_matrix(dec, t)[0, 12]
         red = np.sum(np.exp(-1j * dec.eigenvalues[ks] * t) * weights)
         worst = max(worst, abs(full - red))
     assert worst <= 5e-3
@@ -97,6 +97,16 @@ def test_scan_rejects_anisotropy():
         fidelity_scan(spec, 2, np.array([0.0, 1.0]))
     with pytest.raises(FreeFermionError):
         find_optimal_time(spec, 2, window=(0.0, 10.0))
+
+
+def test_scans_reject_a_block_the_spec_does_not_have():
+    spec = ChainSpec.uniform(6, n=2)
+    times = np.array([0.0, 1.0])
+    for scan in (scan_values, fidelity_scan, lambda *args: list(scan_chunks(*args))):
+        with pytest.raises(ValueError, match="block size mismatch"):
+            scan(spec, 1, times)
+    with pytest.raises(ValueError, match="block size mismatch"):
+        find_optimal_time(spec, 3, window=(0.0, 10.0))
 
 
 def test_partner_amplitudes_identical_in_scan():
