@@ -52,10 +52,20 @@ class ChainSpec:
     delta: float = 0.0
 
     def __post_init__(self):
+        # Checked before conversion: int() would truncate 15.9, and float() read True as 1.0.
+        sites = (self.N, *self.sender_sites, *self.receiver_sites)
+        numbers = (*sites, *self.couplings, *self.fields, self.J0, self.delta)
+        if any(isinstance(x, bool) for x in numbers):
+            raise ValueError("chain spec numbers must not be booleans")
+        if not all(isinstance(x, int) or float(x).is_integer() for x in sites):
+            raise ValueError(f"N and the block sites must be integers, got {sites}")
+        object.__setattr__(self, "N", int(self.N))
         object.__setattr__(self, "couplings", tuple(float(j) for j in self.couplings))
         object.__setattr__(self, "fields", tuple(float(h) for h in self.fields))
         object.__setattr__(self, "sender_sites", tuple(int(s) for s in self.sender_sites))
         object.__setattr__(self, "receiver_sites", tuple(int(s) for s in self.receiver_sites))
+        object.__setattr__(self, "J0", float(self.J0))
+        object.__setattr__(self, "delta", float(self.delta))
         N, n = self.N, self.block_size
         if N < 1:
             raise ValueError(f"N must be positive, got {N}")
@@ -187,15 +197,7 @@ class ChainSpec:
         missing = expected - set(data)
         if missing:
             raise ValueError(f"missing chain spec keys: {sorted(missing)}")
-        return cls(
-            N=int(data["N"]),
-            couplings=tuple(data["couplings"]),
-            fields=tuple(data["fields"]),
-            sender_sites=tuple(data["sender_sites"]),
-            receiver_sites=tuple(data["receiver_sites"]),
-            J0=float(data["J0"]),
-            delta=float(data["delta"]),
-        )
+        return cls(**data)
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2)

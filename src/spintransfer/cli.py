@@ -37,11 +37,11 @@ from .errors import (
     SolverError,
 )
 from .fidelity import (
-    avg_fidelity_from_map,
     independent_channels_stats,
     product_ratio_vs_amplitude,
     product_ratio_vs_fidelity,
-    second_moment_from_map,
+    product_state_variance,
+    stats_from_map,
 )
 from .oracle import McResult, haar_sample_fidelity, sample_fidelity_values
 from .protocol import FidelityScan, phase_aligned_fidelity, scan_chunks
@@ -104,7 +104,7 @@ def _load_chain(text: str | None) -> ChainSpec:
             raise ConfigError(f"cannot read spec file: {exc}") from exc
     try:
         spec = ChainSpec.from_json(text)
-    except (ValueError, KeyError, json.JSONDecodeError) as exc:
+    except (ValueError, TypeError, KeyError, OverflowError, json.JSONDecodeError) as exc:
         raise ConfigError(f"invalid chain spec: {exc}") from exc
     return spec
 
@@ -158,15 +158,12 @@ def _write(out: str | None, chunks) -> None:
 
 
 def _emit_table(out: str | None, fmt: str, blocks) -> None:
-    """Write a table given as blocks of rows, each an ordered name -> column mapping.
+    """Write a table given as an iterator of blocks of rows, each an ordered name -> float array.
 
     The first block is computed before anything is written, so a command that
     fails on its input leaves no output.  CSV rows are then streamed block by
     block; a JSON table is one dict of columns, so its float columns are joined.
     """
-    blocks = (
-        {name: np.asarray(col, dtype=float) for name, col in block.items()} for block in blocks
-    )
     first = next(blocks)
     if fmt == "csv":
         rows = itertools.chain.from_iterable(map(_csv_rows, blocks))
@@ -310,30 +307,24 @@ def cmd_independent(config: argparse.Namespace) -> int:
 
     def blocks():
         """The table in blocks of grid points, n-major as written."""
-        # Every n's rows use the one-qubit mean and second moment: each block's
-        # are computed once and kept as floats, 16 bytes per grid point.
-        one_qubit = []
         for n in ns:
-            for b, lo in enumerate(range(0, points, _CSV_BLOCK_ROWS)):
+            for lo in range(0, points, _CSV_BLOCK_ROWS):
                 f = f_grid[lo : lo + _CSV_BLOCK_ROWS]
-                stats = independent_channels_stats(f, n)
-                if b == len(one_qubit):
-                    stats1 = stats if n == 1 else independent_channels_stats(f, 1)
-                    one_qubit.append(np.array([(s.mean, s.second_moment) for s in stats1]))
-                one, F = one_qubit[b].tolist(), [s.mean for s in stats]
+                stats, one = independent_channels_stats(f, n), independent_channels_stats(f, 1)
                 # At the random-guess floor F = 1/d (f = 0) R_F takes its continuous limit, 1.
-                floor = 1.0 / 2**n + 1e-15
+                above = stats.mean > 1.0 / 2**n + 1e-15
+                R_F = np.ones_like(f)
+                R_F[above] = product_ratio_vs_fidelity(stats.mean[above], n)
                 yield {
-                    "n": [n] * len(f),
+                    "n": np.full_like(f, n),
                     "f": f,
-                    "F_n": F,
-                    "F1_pow_n": [m1**n for m1, _ in one],
-                    "R_f": [product_ratio_vs_amplitude(x, n) for x in f.tolist()],
-                    "R_F": [product_ratio_vs_fidelity(x, n) if x > floor else 1.0 for x in F],
-                    "variance_full": [s.variance for s in stats],
-                    # product_state_variance: <F1^2>^n - <F1>^(2n)
-                    "variance_product": [m2**n - m1 ** (2 * n) for m1, m2 in one],
-                    "cv": [s.cv for s in stats],
+                    "F_n": stats.mean,
+                    "F1_pow_n": one.mean**n,
+                    "R_f": product_ratio_vs_amplitude(f, n),
+                    "R_F": R_F,
+                    "variance_full": stats.variance,
+                    "variance_product": product_state_variance(one, n),
+                    "cv": stats.cv,
                 }
 
     _emit_table(config.out, config.format, blocks())
@@ -397,8 +388,8 @@ def cmd_montecarlo(config: argparse.Namespace) -> int:
         m = map_from_evolution(spec, n_qubits, config.t)
         description = f"chain(N={spec.N}, n={n_qubits}, t={_fmt(config.t)})"
 
-    mean_ref = avg_fidelity_from_map(m)
-    m2_ref = second_moment_from_map(m)
+    stats = stats_from_map(m)
+    mean_ref, m2_ref = stats.mean, stats.second_moment
     evaluator = fidelity_evaluator(m)
     haar = haar_sample_fidelity(evaluator, m.d, config.samples, config.seed)
     report = {
@@ -411,7 +402,7 @@ def cmd_montecarlo(config: argparse.Namespace) -> int:
     }
 
     if config.product:
-        [stats1] = independent_channels_stats([config.amplitude], 1)
+        stats1 = independent_channels_stats(config.amplitude, 1)
         prod_mean = stats1.mean**n_qubits
         prod_m2 = stats1.second_moment**n_qubits
         prod_values = sample_fidelity_values(

@@ -201,15 +201,21 @@ def classical_transfer_map(d: int) -> DynamicalMap:
     return _gram_map(np.eye(d)[:, :, None] * np.eye(d)[:, None, :], "classical_transfer_map")
 
 
+def _checked_amplitudes(f) -> np.ndarray:
+    """f as a complex array; ValueError unless every entry is finite with |f| <= 1 (to 1e-9)."""
+    f = np.asarray(f, dtype=complex)
+    if not np.all(np.abs(f) <= 1.0 + 1e-9):  # NaN compares false, so it fails too
+        raise ValueError(f"transfer amplitudes must be finite with |f| <= 1, got {f}")
+    return f
+
+
 def one_qubit_tensors(f) -> np.ndarray:
     """Stored tensors a[..., i, j, n, m] of the one-qubit amplitude-damping maps with amplitudes f.
 
     Vectorised over the shape of f; each map sends |1> to |0> with
     probability 1 - |f|^2 and scales the coherence A[(0,1)][(0,1)] by f.
     """
-    f = np.asarray(f, dtype=complex)
-    if np.max(np.abs(f)) > 1.0 + 1e-9:
-        raise ValueError(f"|f| = {np.max(np.abs(f))} exceeds 1")
+    f = _checked_amplitudes(f)
     a = np.zeros(f.shape + (2, 2, 2, 2), dtype=complex)
     a[..., 0, 0, 0, 0] = 1.0
     a[..., 0, 0, 1, 1] = 1.0 - np.abs(f) ** 2
@@ -221,9 +227,7 @@ def one_qubit_tensors(f) -> np.ndarray:
 
 def _one_qubit_kraus(f: complex) -> np.ndarray:
     """Kraus tensor K[P, i, x] of one_qubit_map: environment x = 1 holds a lost excitation."""
-    f = complex(f)
-    if abs(f) > 1.0 + 1e-9:
-        raise ValueError(f"|f| = {abs(f)} exceeds 1")
+    f = complex(_checked_amplitudes(f))
     k = np.zeros((2, 2, 2), dtype=complex)
     k[0, 0, 0] = 1.0
     k[1, 1, 0] = f

@@ -17,27 +17,29 @@ import numpy as np
 
 from .amplitudes import TransferAmplitudeSet
 from .dynmap import VALIDATION_TOL, DynamicalMap, one_qubit_tensors, trace_deviation
+from .dynmap import _checked_amplitudes
 from .errors import MapValidationError
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FidelityStats:
-    """First two moments of a fidelity distribution plus derived dispersion measures."""
+    """First two moments of fidelity distributions and their dispersion: numbers, or arrays."""
 
-    mean: float
-    second_moment: float
-    variance: float
-    cv: float
+    mean: float | np.ndarray
+    second_moment: float | np.ndarray
+    variance: float | np.ndarray
+    cv: float | np.ndarray
 
     @classmethod
-    def from_moments(cls, mean: float, second_moment: float) -> "FidelityStats":
-        if not 0.0 < mean <= 1.0 + 1e-9:
+    def from_moments(cls, mean, second_moment) -> "FidelityStats":
+        """Stats from the first two moments, checked and clamped entrywise."""
+        if not np.all((0.0 < mean) & (mean <= 1.0 + 1e-9)):
             raise ValueError(f"mean fidelity must lie in (0, 1], got {mean}")
         variance = second_moment - mean**2
-        if variance < -1e-12:
+        if not np.all(variance >= -1e-12):  # a NaN second moment fails too
             raise ValueError(f"second moment {second_moment} below mean^2 {mean ** 2}")
-        variance = max(variance, 0.0)
-        cv = math.sqrt(max(second_moment / mean**2 - 1.0, 0.0))
+        variance = np.maximum(variance, 0.0)
+        cv = np.sqrt(np.maximum(second_moment / mean**2 - 1.0, 0.0))
         return cls(mean=mean, second_moment=second_moment, variance=variance, cv=cv)
 
 
@@ -167,9 +169,7 @@ def avg_fidelity_from_amplitudes(amps: TransferAmplitudeSet, d: int) -> float:
 
 def avg_fidelity_two_qubit(f1: complex, f2: complex, f12: complex) -> float:
     """Two-site block average fidelity from its three transfer amplitudes."""
-    for name, f in (("f1", f1), ("f2", f2), ("f12", f12)):
-        if abs(f) > 1.0 + 1e-9:
-            raise ValueError(f"|{name}| = {abs(f)} exceeds 1")
+    _checked_amplitudes([f1, f2, f12])
     cross = f1 + f2 + f12 + f2 * np.conj(f1) + f12 * np.conj(f1) + f12 * np.conj(f2)
     return float(
         0.25
@@ -180,51 +180,50 @@ def avg_fidelity_two_qubit(f1: complex, f2: complex, f12: complex) -> float:
 
 # ---------------------------------------------------------------------------
 # Independent parallel channels
+#
+# The closed forms work entrywise.  Powers use np.power: on a numpy scalar **
+# calls libm's pow, whose last bit can differ from numpy's array loop, so a
+# scalar call would not give the digits of the same entry of an array call.
 # ---------------------------------------------------------------------------
 
 
-def independent_channels_fidelity(f: complex, n: int) -> float:
-    """Average fidelity of n qubits sent through identical independent channels."""
-    if abs(f) > 1.0 + 1e-9:
-        raise ValueError(f"|f| = {abs(f)} exceeds 1")
+def independent_channels_fidelity(f, n: int):
+    """Average fidelity of n qubits sent through identical independent channels, entrywise in f."""
+    f = _checked_amplitudes(f)
     if n < 1:
         raise ValueError("need at least one channel")
     d = 2**n
-    return float(1.0 / (d + 1) + abs(1.0 + f) ** (2 * n) / (d * (d + 1)))
+    return 1.0 / (d + 1) + np.power(np.abs(1.0 + f), 2 * n) / (d * (d + 1))
 
 
-def independent_channels_stats(f, n: int) -> list[FidelityStats]:
-    """Fidelity statistics of n identical independent channels, one per amplitude in f.
+def independent_channels_stats(f, n: int) -> FidelityStats:
+    """Fidelity statistics of n identical independent channels: arrays over the amplitudes f.
 
     The second moment is sum_sigma s_sigma(f)^n / (d(d+1)(d+2)(d+3)), d = 2^n,
     where s_sigma(f) are the 24 pairing terms of the one-qubit map: each term
     factorises over the channels, so no n-qubit map is built.
     """
-    if n < 1:
-        raise ValueError("need at least one channel")
-    f = np.asarray(f, dtype=complex).ravel()
+    mean = independent_channels_fidelity(f, n)  # checks f and n
     terms = _pairing_terms(one_qubit_tensors(f))
     d = 2**n
     second = np.sum(terms**n, axis=-1).real / (d * (d + 1) * (d + 2) * (d + 3))
-    return [
-        FidelityStats.from_moments(independent_channels_fidelity(fk, n), float(m2))
-        for fk, m2 in zip(f, second)
-    ]
+    return FidelityStats.from_moments(mean, second)
 
 
-def product_ratio_vs_amplitude(f: float, n: int) -> float:
-    """Ratio of the product-state average fidelity to the full average, at amplitude f.
+def product_ratio_vs_amplitude(f, n: int):
+    """Ratio of the product-state average fidelity to the full average, entrywise in f.
 
     Always >= 1: restricting inputs to product states never hurts independent
     channels, with equality only at f = 0 and f = 1.
     """
-    if not 0.0 <= f <= 1.0:
+    f = np.asarray(f, dtype=float)
+    if not np.all((0.0 <= f) & (f <= 1.0)):
         raise ValueError(f"amplitude must lie in [0, 1], got {f}")
     if n < 1:
         raise ValueError("need at least one channel")
-    num = (2**n + 1) * (f * (f + 2) + 3) ** n
-    den = 3**n * ((f + 1) ** (2 * n) + 2**n)
-    return float(num / den)
+    num = (2**n + 1) * np.power(f * (f + 2) + 3, n)
+    den = 3**n * (np.power(f + 1, 2 * n) + 2**n)
+    return num / den
 
 
 def amplitude_for_fidelity(F: float, n: int) -> float:
@@ -235,24 +234,25 @@ def amplitude_for_fidelity(F: float, n: int) -> float:
     return float(math.sqrt(2.0) * ((d + 1) * (F - 1.0 / (d + 1))) ** (1.0 / (2 * n)) - 1.0)
 
 
-def product_ratio_vs_fidelity(F: float, n: int) -> float:
-    """Product-to-full fidelity ratio of independent channels at fixed full average F.
+def product_ratio_vs_fidelity(F, n: int):
+    """Product-to-full fidelity ratio of independent channels at fixed full average F, entrywise.
 
     Tends to F^(-1/3) for many channels; maximal at the entanglement-free
     benchmark F = 2/(d+1).
     """
+    F = np.asarray(F, dtype=float)
     d = 2**n
-    if not 1.0 / d < F <= 1.0 + 1e-12:
+    if not np.all((1.0 / d < F) & (F <= 1.0 + 1e-12)):
         raise ValueError(f"fidelity must lie in (1/{d}, 1], got {F}")
-    return float((1.0 + (d * F + F - 1.0) ** (1.0 / n)) ** n / (3**n * F))
+    return np.power(1.0 + np.power(d * F + F - 1.0, 1.0 / n), n) / (3**n * F)
 
 
-def product_state_variance(one_qubit_stats: FidelityStats, n: int) -> float:
-    """Fidelity variance over product-state inputs of n independent channels.
+def product_state_variance(one_qubit_stats: FidelityStats, n: int):
+    """Fidelity variance over product-state inputs of n independent channels, entrywise.
 
     Factorisation over channels turns moments into powers:
     <F^2> = <F_1^2>^n and <F> = <F_1>^n.
     """
     if n < 1:
         raise ValueError("need at least one channel")
-    return float(one_qubit_stats.second_moment**n - one_qubit_stats.mean ** (2 * n))
+    return np.power(one_qubit_stats.second_moment, n) - np.power(one_qubit_stats.mean, 2 * n)

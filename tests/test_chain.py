@@ -120,6 +120,23 @@ def test_validation_failures():
     for n in (0, -1):  # checked before the weak bonds are placed
         with pytest.raises(ValueError, match="block size"):
             ChainSpec.weak_coupling(5, n, J0=0.01)
+    weak15 = ChainSpec.weak_coupling(9, 3, J0=0.01).to_dict()
+    for key, value in [
+        ("N", 15.9),  # would truncate to 15, which the other keys fit
+        ("N", True),
+        ("sender_sites", [1.7, 2.2, 3.0]),
+        ("receiver_sites", [13, 14, 15.5]),
+        ("sender_sites", [True, 2, 3]),
+        ("J0", True),
+        ("couplings", [True] + weak15["couplings"][1:]),
+        ("fields", [False] * 15),
+        ("delta", False),
+    ]:
+        with pytest.raises(ValueError):
+            ChainSpec.from_dict({**weak15, key: value})
+    # Integral values of either type still work.
+    again = ChainSpec.from_dict({**weak15, "N": 15.0, "sender_sites": [1.0, 2.0, 3.0]})
+    assert again == ChainSpec.from_dict(weak15) and isinstance(again.N, int)
 
 
 @pytest.mark.parametrize("delta", [math.nan, math.inf, -math.inf])

@@ -218,12 +218,26 @@ def test_csv_scan_memory_does_not_grow_with_the_grid(tmp_path):
 
 def test_independent_table(tmp_path):
     out = tmp_path / "ind.csv"
-    assert run(["independent", "--n-list", "1,2", "--grid", 21, "--out", out]) == 0
+    assert run(["independent", "--n-list", "1,2,3,4", "--out", out]) == 0
     lines = out.read_text().strip().splitlines()
     header = lines[0].split(",")
     rows = [dict(zip(header, [float(x) for x in ln.split(",")])) for ln in lines[1:]]
-    assert len(rows) == 2 * 21
+    assert len(rows) == 4 * 201
     for row in rows:
+        n, f = int(row["n"]), row["f"]
+        stats = fidelity.independent_channels_stats(f, n)
+        one = fidelity.independent_channels_stats(f, 1)
+        scalar = {
+            "F_n": fidelity.independent_channels_fidelity(f, n),
+            "F1_pow_n": fidelity.independent_channels_fidelity(f, 1) ** n,
+            "R_f": fidelity.product_ratio_vs_amplitude(f, n),
+            "R_F": fidelity.product_ratio_vs_fidelity(stats.mean, n) if f > 0 else 1.0,
+            "variance_full": stats.variance,
+            "variance_product": fidelity.product_state_variance(one, n),
+            "cv": stats.cv,
+        }
+        for name, value in scalar.items():
+            assert row[name] == pytest.approx(value, abs=1e-12), (name, n, f)
         assert row["R_f"] >= 1.0 - 1e-12
         if row["f"] == 1.0:
             assert row["F_n"] == pytest.approx(1.0, abs=1e-12)
@@ -233,7 +247,7 @@ def test_independent_table(tmp_path):
             assert row["R_F"] == 1.0  # the ratio's limit at the random-guess floor F = 1/d
         assert not any(math.isnan(value) for value in row.values())
     json_out = tmp_path / "ind.json"
-    assert run(["independent", "--n-list", "1,2", "--grid", 21, "--format", "json",
+    assert run(["independent", "--n-list", "1,2,3,4", "--format", "json",
                 "--out", json_out]) == 0
     assert "NaN" not in json_out.read_text()
 
@@ -383,6 +397,20 @@ def test_bad_spec_file(tmp_path):
     assert not out.exists()  # inputs are validated before anything is written
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [("N", 15.9), ("sender_sites", [1.7, 2.2, 3]), ("N", None), ("couplings", 5),
+     ("N", 10**400), ("sender_sites", [10**400, 2, 3]), ("J0", 10**400)],
+)
+def test_malformed_spec_fields_exit_2(weak15, tmp_path, capsys, key, value):
+    """Not truncated, and not a traceback: a non-integral size or a value of the wrong type."""
+    spec = {**json.loads(weak15.read_text()), key: value}
+    out = tmp_path / "spectrum.json"
+    assert run(["spectrum", "--spec", json.dumps(spec), "--out", out]) == 2
+    assert capsys.readouterr().err.startswith("error: invalid chain spec")
+    assert not out.exists()
+
+
 def test_scan_json_format(weak15, tmp_path):
     out = tmp_path / "scan.json"
     assert run(["scan", "--spec", weak15, "--tmax", 20, "--grid", 5,
@@ -421,7 +449,8 @@ def test_json_and_csv_tables_agree(weak15, tmp_path, argv):
 
 def test_non_finite_json_value_is_a_numerical_failure(tmp_path, monkeypatch):
     """Strict JSON has no NaN: the command exits 3 and writes no --out file."""
-    monkeypatch.setattr(cli, "avg_fidelity_from_map", lambda m: float("nan"))
+    nan_mean = fidelity.FidelityStats(mean=math.nan, second_moment=1.0, variance=0.0, cv=0.0)
+    monkeypatch.setattr(cli, "stats_from_map", lambda m: nan_mean)
     out = tmp_path / "mc.json"
     assert run(["montecarlo", "--identity", "--n", 1, "--samples", 10, "--seed", 1,
                 "--out", out]) == 3

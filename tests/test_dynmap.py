@@ -35,7 +35,11 @@ from spintransfer.dynmap import (
     validate_cptp,
 )
 from spintransfer.errors import DimensionCapError, MapConstructionError
-from spintransfer.fidelity import avg_fidelity_from_map, independent_channels_fidelity
+from spintransfer.fidelity import (
+    FidelityStats,
+    avg_fidelity_from_map,
+    independent_channels_fidelity,
+)
 from spintransfer.linalg import EigenDecomposition
 from spintransfer.oracle import (
     PureState,
@@ -665,6 +669,7 @@ def test_array_holding_dataclasses_compare_and_hash_by_identity():
             times=np.zeros(2),
             fidelity=np.ones(2),
         ),
+        lambda: FidelityStats.from_moments(np.full(2, 0.5), np.full(2, 0.3)),
     ]
     for make in factories:
         a, b = make(), make()

@@ -225,6 +225,19 @@ def test_independent_channels_values():
         assert independent_channels_fidelity(1.0, n) == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, math.nan)])
+def test_non_finite_amplitudes_are_rejected(bad):
+    with pytest.raises(ValueError):
+        independent_channels_fidelity(bad, 2)
+    with pytest.raises(ValueError):
+        independent_channels_fidelity([0.5, bad], 2)
+    for amplitudes in itertools.permutations([bad, 0.0, 0.0]):
+        with pytest.raises(ValueError):
+            avg_fidelity_two_qubit(*amplitudes)
+    with pytest.raises(ValueError):
+        one_qubit_map(bad)
+
+
 def test_entanglement_breaks_factorisation():
     n, f = 3, 0.5
     full = independent_channels_fidelity(f, n)
@@ -303,11 +316,48 @@ def test_product_state_variance():
 )
 def test_independent_channels_stats_match_the_built_maps(modulus, phase, n):
     f = modulus * complex(math.cos(phase), math.sin(phase))
-    [stats] = independent_channels_stats([f], n)
+    stats = independent_channels_stats([f], n)
+    [mean], [second_moment], [variance] = stats.mean, stats.second_moment, stats.variance
     built = stats_from_map(independent_channels_map(f, n))
-    assert abs(stats.mean - built.mean) <= 1e-14
-    assert abs(stats.second_moment - built.second_moment) <= 1e-14
-    assert abs(stats.variance - built.variance) <= 1e-14
+    assert abs(mean - built.mean) <= 1e-14
+    assert abs(second_moment - built.second_moment) <= 1e-14
+    assert abs(variance - built.variance) <= 1e-14
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(
+    moduli=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=6),
+    phase=st.floats(0.0, 2.0 * math.pi),
+    n=st.integers(1, 6),
+    bad=st.sampled_from([math.nan, math.inf, -math.inf, 1.5, -1.5]),
+)
+def test_array_forms_match_scalar_calls_and_check_every_entry(moduli, phase, n, bad):
+    f = np.array(moduli) * complex(math.cos(phase), math.sin(phase))
+    F = independent_channels_fidelity(f, n)
+    functions = {
+        "F": (lambda x: independent_channels_fidelity(x, n), f),
+        "R_f": (lambda x: product_ratio_vs_amplitude(x, n), np.array(moduli)),
+        "R_F": (lambda x: product_ratio_vs_fidelity(x, n), F[F > 2.0**-n]),
+        "variance_product": (
+            lambda x: product_state_variance(independent_channels_stats(x, 1), n), f
+        ),
+        **{
+            field: (lambda x, field=field: getattr(independent_channels_stats(x, n), field), f)
+            for field in ("mean", "second_moment", "variance", "cv")
+        },
+    }
+    for name, (function, args) in functions.items():
+        values = function(args)
+        assert values.shape == args.shape
+        for arg, value in zip(args, values):
+            assert abs(value - function(arg)) <= 1e-15, (name, arg)
+        if name != "R_F":  # R_F's range is checked below, in fidelities
+            with pytest.raises(ValueError):
+                function(np.append(args, bad))
+    with pytest.raises(ValueError):
+        product_ratio_vs_fidelity(np.append(F, bad), n)
+    with pytest.raises(ValueError):
+        product_ratio_vs_fidelity(np.append(F, 2.0**-n), n)  # the random-guess floor
 
 
 _FACTORIALS = np.array([math.factorial(k) for k in range(5)])
@@ -353,14 +403,17 @@ def test_independent_channels_stats_against_exact_rationals():
         first, second = _exact_moment_polynomials(n)
         # At f = 1 every channel is the identity, so F = 1 on every input.
         assert sum(first) == d * (d + 1) and sum(second) == d * (d + 1) * (d + 2) * (d + 3)
-        grid = np.linspace(0.0, 1.0, 21)
-        for f, stats in zip(grid, independent_channels_stats(grid, n)):
-            x = Fraction(float(f))
-            mean = sum(int(c) * x**k for k, c in enumerate(first)) / (d * (d + 1))
-            m2 = sum(int(c) * x**k for k, c in enumerate(second)) / (d * (d + 1) * (d + 2) * (d + 3))
-            assert abs(stats.mean - mean) <= 1e-14
-            assert abs(stats.variance - (m2 - mean**2)) <= 1e-14
-            assert abs(stats.cv - math.sqrt(m2 / mean**2 - 1)) <= 1e-12
+        for grid in (np.linspace(0.0, 1.0, 21), np.linspace(0.0, 1.0, 201)):
+            stats = independent_channels_stats(grid, n)
+            for k, f in enumerate(grid):
+                x = Fraction(float(f))
+                mean = sum(int(c) * x**p for p, c in enumerate(first)) / (d * (d + 1))
+                m2 = sum(int(c) * x**p for p, c in enumerate(second)) / (
+                    d * (d + 1) * (d + 2) * (d + 3)
+                )
+                assert abs(stats.mean[k] - mean) <= 1e-14
+                assert abs(stats.variance[k] - (m2 - mean**2)) <= 1e-14
+                assert abs(stats.cv[k] - math.sqrt(m2 / mean**2 - 1)) <= 1e-12
 
 
 def test_stats_and_cv():
@@ -373,6 +426,9 @@ def test_stats_and_cv():
         FidelityStats.from_moments(0.0, 0.0)
     with pytest.raises(ValueError):
         FidelityStats.from_moments(0.5, 0.2)  # second moment below mean^2
+    for mean, second_moment in [(math.nan, 0.5), (0.5, math.nan), ([0.5, 0.5], [0.3, math.nan])]:
+        with pytest.raises(ValueError):
+            FidelityStats.from_moments(np.asarray(mean), np.asarray(second_moment))
 
 
 def test_cv_decreases_towards_perfect_transfer():
