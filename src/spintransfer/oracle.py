@@ -8,6 +8,12 @@ constant and single-site pieces absorbed in the energy zero), so the
 one-excitation sector never feels it and the sector Hamiltonian reduces to
 the hopping matrix used by the determinant engine at delta = 0.
 
+On a mirror-symmetric chain the reflection s -> N + 1 - s commutes with each
+sector Hamiltonian, which is then diagonalised as two parity blocks of about
+half its size.  Any other chain takes the same path with the identity as its
+reflection: one block and an empty odd one.  MAX_SECTOR_DIM caps the full
+sector dimension C(N, k) either way.
+
 This module is deliberately independent of the determinant machinery: the two
 give the same amplitudes only because the physics says so, and the tests lean
 on that.  dynmap.map_from_evolution uses it only for chains with delta != 0;
@@ -42,6 +48,8 @@ class PureState:
         object.__setattr__(self, "amplitudes", amps)
         if amps.shape != (self.dimension,):
             raise ValueError(f"expected {self.dimension} amplitudes, got shape {amps.shape}")
+        if not np.all(np.isfinite(amps)):
+            raise ValueError("state amplitudes must be finite")
         norm = float(np.sum(np.abs(amps) ** 2))
         if abs(norm - 1.0) > 1e-10:
             raise ValueError(f"state norm deviates from 1 by {abs(norm - 1.0):.3e}")
@@ -78,9 +86,23 @@ class McResult:
 # ---------------------------------------------------------------------------
 
 
+def _mirror_pairs(spec: ChainSpec, basis: list, index: dict):
+    """Fixed states and pairs lo < hi = R lo of the reflection R: s -> N + 1 - s (identity if asymmetric)."""
+    a = np.arange(len(basis))
+    r = a
+    if spec.is_mirror_symmetric():
+        r = np.array([index[tuple(spec.N + 1 - s for s in reversed(sites))] for sites in basis])
+    return a[a == r], a[a < r], r[a < r]
+
+
 @lru_cache(maxsize=128)
 def _sector(spec: ChainSpec, k: int):
-    """Basis, basis index and Hamiltonian eigendecomposition of the k-excitation sector."""
+    """Basis, basis index and Hamiltonian eigendecomposition of the k-excitation sector.
+
+    h is gathered by index into an even block (fixed states, pairs (|lo> + |hi>)/sqrt2)
+    and an odd one (pairs (|lo> - |hi>)/sqrt2), whose eigenvectors are scattered
+    into one dense real v over the full basis, even columns first; w is not sorted.
+    """
     dim = math.comb(spec.N, k)
     if dim > MAX_SECTOR_DIM:
         raise DimensionCapError(
@@ -101,7 +123,29 @@ def _sector(spec: ChainSpec, k: int):
                 moved = tuple(sorted(occupied - {s} | {s + 1}))
                 b = index[moved]
                 h[a, b] = h[b, a] = couplings[s - 1] / 2.0
-    w, v = np.linalg.eigh(h)
+    fixed, lo, hi = _mirror_pairs(spec, basis, index)
+    keep = np.concatenate([fixed, lo])
+    nf, m = len(fixed), len(keep)
+    # Each intermediate is dropped once used: a mirror-symmetric sector peaks at 1.5 copies of h.
+    even, cross = h[np.ix_(keep, keep)], h[np.ix_(lo, hi)]  # h[hi, hi'] = h[lo, lo']
+    del h
+    odd = even[nf:, nf:] - cross
+    even[nf:, nf:] += cross
+    even[:nf, nf:] *= math.sqrt(2.0)  # <f|h|(lo + hi)/sqrt2> = sqrt2 h[f, lo]; <f|h|odd> = 0
+    even[nf:, :nf] *= math.sqrt(2.0)
+    del cross
+    w_even, x = np.linalg.eigh(even)
+    del even
+    w_odd, y = np.linalg.eigh(odd)
+    del odd
+    v = np.empty((dim, dim))
+    v[fixed, :m], v[fixed, m:] = x[:nf], 0.0
+    x[nf:] *= math.sqrt(0.5)
+    y *= math.sqrt(0.5)
+    v[lo, :m] = v[hi, :m] = x[nf:]
+    v[lo, m:] = y
+    v[hi, m:] = np.negative(y, out=y)
+    w = np.concatenate([w_even, w_odd])
     for array in (w, v):
         array.flags.writeable = False
     return basis, index, w, v
@@ -114,6 +158,8 @@ def _real_matmul(v: np.ndarray, z: np.ndarray) -> np.ndarray:
 
 def evolve_block(spec: ChainSpec, state: PureState, t: float, *, excitations: int) -> PureState:
     """Exact evolution of a state living in one excitation sector of the chain."""
+    if not math.isfinite(t):
+        raise ValueError(f"evolution time must be finite, got {t}")
     basis, _, w, v = _sector(spec, excitations)
     if state.dimension != len(basis):
         raise ValueError(
@@ -165,6 +211,8 @@ def receiver_amplitude_tensor(spec: ChainSpec, n: int, t: float) -> np.ndarray:
     """
     if n != len(spec.sender_sites):
         raise ValueError(f"block size mismatch: spec has {len(spec.sender_sites)}, got {n}")
+    if not math.isfinite(t):
+        raise ValueError(f"evolution time must be finite, got {t}")
     sectors = [_sector(spec, k) for k in range(n + 1)]  # the cap fires before _reduction enumerates
     tables, n_env = _reduction(spec, n)
     d = 2**n

@@ -3,10 +3,10 @@
 Nothing here may call the package's production code paths it is used to
 check: determinants come from cofactor expansion, single-particle propagators
 from a matrix exponential, full-chain evolution from an explicit
-Kronecker-product Hamiltonian on the 2^N space, a map's action from its
-stored elements, and a receiver's fidelity from the sector engine's
-amplitude tensor.  `free_fermion_chains` is the random-chain strategy the
-property tests share.
+Kronecker-product Hamiltonian on the 2^N space (its excitation-sector blocks
+from the same bit rules), a map's action from its stored elements, and a
+receiver's fidelity from the sector engine's amplitude tensor.
+`free_fermion_chains` is the random-chain strategy the property tests share.
 """
 
 from __future__ import annotations
@@ -102,6 +102,28 @@ def full_space_index(sites: tuple[int, ...], N: int) -> int:
     for s in sites:
         idx |= 1 << (N - s)
     return idx
+
+
+def sector_hamiltonian(spec: ChainSpec, k: int) -> np.ndarray:
+    """The k-excitation block of full_space_hamiltonian, built from its bit rules alone.
+
+    Rows follow the lexicographic k-subsets of sites.  A bond (i, i + 1) adds
+    delta where both sites are excited and hops one excitation across it,
+    with amplitude J_i / 2, where exactly one is; each excited site adds its field.
+    """
+    N = spec.N
+    masks = [full_space_index(sites, N) for sites in itertools.combinations(range(1, N + 1), k)]
+    row = {mask: a for a, mask in enumerate(masks)}
+    h = np.zeros((len(masks), len(masks)))
+    for a, mask in enumerate(masks):
+        bit = [(mask >> (N - s)) & 1 for s in range(1, N + 1)]  # bit[s - 1]: site s excited
+        h[a, a] = sum(f for f, b in zip(spec.fields, bit) if b)
+        for i in range(1, N):
+            if bit[i - 1] and bit[i]:
+                h[a, a] += spec.delta
+            elif bit[i - 1] != bit[i]:
+                h[a, row[mask ^ (0b11 << (N - i - 1))]] = spec.couplings[i - 1] / 2.0
+    return h
 
 
 def full_space_evolve(spec: ChainSpec, psi0: np.ndarray, t: float) -> np.ndarray:
