@@ -9,7 +9,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .basis import sector_positions
 from .errors import SolverError
@@ -30,21 +29,34 @@ class EigenDecomposition:
 def eig_tridiag(diag: np.ndarray, offdiag: np.ndarray) -> EigenDecomposition:
     """Diagonalise the symmetric tridiagonal matrix with the given bands.
 
-    Eigenvalues come out ascending (LAPACK's order); each eigenvector is
-    normalised with its first component above 1e-12 in magnitude positive, so
-    repeated runs are bit-identical.  A unit vector of length N has an entry
-    of at least 1/sqrt(N), so every column has such a component.  scipy
-    rejects mismatched, empty and non-finite bands with ValueError; 2-D bands
-    are rejected here, since scipy would accept some of them.
+    The dense matrix goes to numpy's `eigh` (LAPACK's divide and conquer).
+    Eigenvalues come out ascending; each eigenvector is normalised with its
+    first component above 1e-12 in magnitude positive, so repeated runs are
+    bit-identical.  A unit vector of length N has an entry of at least
+    1/sqrt(N), so every column has such a component.  Bands that are not 1-D,
+    empty, of mismatched sizes (N and N-1) or non-finite raise ValueError;
+    complex bands raise TypeError.
+
+    The dense solve costs O(N^3) where a banded one costs O(N^2).  On the
+    uniform chain (zero diagonal, off-diagonal 0.5), best of 5 with one BLAS
+    thread on an x86_64 VM, it took 0.028 ms against 0.032 ms for scipy's
+    `eigh_tridiagonal` at N = 18, 4.5 against 2.2 ms at N = 300 and 110
+    against 25 ms at N = 1000.  A chain is diagonalised once, so a long wire
+    pays this once; importing scipy would cost every process about 0.1 s.
     """
-    if np.ndim(diag) != 1 or np.ndim(offdiag) != 1:
+    d, e = np.asarray(diag), np.asarray(offdiag)
+    if d.ndim != 1 or e.ndim != 1:
         raise ValueError("bands must be one-dimensional")
+    if np.iscomplexobj(d) or np.iscomplexobj(e):
+        raise TypeError("bands must be real")
+    if d.size == 0 or e.size != d.size - 1:
+        raise ValueError(f"bands of {d.size} and {e.size} entries; need N > 0 and N - 1")
+    if not (np.all(np.isfinite(d)) and np.all(np.isfinite(e))):
+        raise ValueError("band entries must be finite")
     try:
-        w, v = scipy.linalg.eigh_tridiagonal(diag, offdiag)
-    except scipy.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK rarely fails
-        raise SolverError(
-            f"tridiagonal eigensolver failed for size {np.size(diag)}: {exc}"
-        ) from exc
+        w, v = np.linalg.eigh(np.diag(d) + np.diag(e, 1) + np.diag(e, -1))
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK rarely fails
+        raise SolverError(f"tridiagonal eigensolver failed for size {d.size}: {exc}") from exc
     pivots = np.argmax(np.abs(v) > 1e-12, axis=0)
     np.negative(v, out=v, where=v[pivots, np.arange(v.shape[1])] < 0)
     return EigenDecomposition(eigenvalues=w, eigenvectors=v)

@@ -161,18 +161,14 @@ def find_optimal_time(
     n: int,
     window: tuple[float, float] | None = None,
     coarse_points: int | None = None,
-    phase_aligned: bool = False,
 ) -> ProtocolResult:
     """Locate the best transfer time by a coarse scan plus golden-section refinement.
 
     Without an explicit window the scan covers [0, 1.2 tau].  The coarse grid
-    must resolve the fast block dynamics; the default spacing is 0.2 in units
-    of 1/J.  `phase_aligned` applies only to single-site blocks and scores
-    |f| with the optimal receiver phase instead of the raw amplitude.
+    must resolve the fast block dynamics; by default it has
+    ceil((hi - lo) / 0.2) + 1 points, a spacing of at most 0.2 in the time
+    unit of the couplings, whatever their size.
     """
-    if phase_aligned and n != 1:
-        raise ValueError("phase alignment is only defined for single-site blocks")
-
     if window is None:
         report = resonance_report(spec, n)
         window = (0.0, 1.2 * report.transfer_time)
@@ -187,19 +183,11 @@ def find_optimal_time(
         coarse_points = int(np.ceil((hi - lo) / 0.2)) + 1
     coarse_points = max(coarse_points, 2)
 
-    if phase_aligned:
-        def evaluate(ts: np.ndarray) -> np.ndarray:
-            blocks = [block[:, 0, 0] for _, block in _block_chunks(spec, 1, ts)]  # f(t)
-            return phase_aligned_fidelity(np.concatenate(blocks))
-    else:
-        def evaluate(ts: np.ndarray) -> np.ndarray:
-            return scan_values(spec, n, ts)
-
     def objective(t: float) -> float:
-        return float(evaluate(np.array([t]))[0])
+        return float(scan_values(spec, n, np.array([t]))[0])
 
     times = np.linspace(lo, hi, coarse_points)
-    values = evaluate(times)
+    values = scan_values(spec, n, times)
     best = int(np.argmax(values))
     spacing = times[1] - times[0]
 

