@@ -82,28 +82,31 @@ def transfer_amplitudes(F: np.ndarray, n: int) -> TransferAmplitudeSet:
     N = F.shape[0]
     if not 1 <= n <= N // 2 and not (N == 1 and n == 1):
         raise ValueError(f"block size {n} does not fit a chain of {N} sites")
-    minors = subset_minor_series(F[None, :n, N - n :])
+    minors = subset_minor_series(F[:n, N - n :, None])
     return TransferAmplitudeSet(block_size=n, entries={S: complex(f[0]) for S, f in minors.items()})
 
 
 def transfer_block_series(decomp: EigenDecomposition, n: int, times: np.ndarray) -> np.ndarray:
-    """Sender -> receiver block B(t) of F(t) over a time grid, shape (T, n, n).
+    """Sender -> receiver block B(t) of F(t) over a time grid, shape (n, n, T).
 
-    B[:, a, b] = f_{a+1}^{N-n+b+1}(t): row a is sender site a+1, column b the
+    B[a, b] = f_{a+1}^{N-n+b+1}(t): row a is sender site a+1, column b the
     receiver site at the same position.  Only these n x n entries of F(t) are
-    ever formed, so grids of a few million points stay cheap.
+    ever formed, so grids of a few million points stay cheap.  The matrix
+    axes come first, as `linalg.dets` takes them, so each entry's series is
+    one contiguous run of T values.
 
     The phases exp(-i w_k t) are factorised.  On a uniform grid of T points
     with step D, point m i + j (0 <= j < m) is t[m i] + j D, so its phase is a
     coarse factor exp(-i w_k t[m i]), taken at the grid's own points and so
     re-anchored every m points, times a fine factor exp(-i w_k j D).  The fine
-    table is folded into the coefficients and one GEMM of the coarse table,
-    (ceil(T/m), N) @ (N, m n^2), gives B: ceil(T/m) + m rows of `exp` instead
-    of T.  m = ceil(sqrt(T)) minimises that count (128 for a 16,384-point
-    chunk).  A grid counts as uniform when t[m i] + j D reproduces every
-    point to within 2 eps max|t|, as `np.linspace` grids on t >= 0 do; other
-    grids, single points and empty grids take m = 1, where the fine table is
-    [1] and the product is the direct exp(-i w t) @ coefficients.
+    table is folded into the coefficients, and one batched GEMM of the coarse
+    table, (ceil(T/m), N) @ (n^2, N, m), gives B as (n^2, ceil(T/m), m), already
+    in (n, n, T) order: ceil(T/m) + m rows of `exp` instead of T.
+    m = ceil(sqrt(T)) minimises that count (128 for a 16,384-point chunk).  A
+    grid counts as uniform when t[m i] + j D reproduces every point to within
+    2 eps max|t|, as `np.linspace` grids on t >= 0 do; other grids, single
+    points and empty grids take m = 1, where the fine table is [1] and the
+    product is the direct exp(-i w t) @ coefficients.
 
     The direct `exp` is already off by up to eps |w t| / 2 at large t,
     because w t is rounded before the `exp`.  The factorised phase adds the
@@ -124,20 +127,28 @@ def transfer_block_series(decomp: EigenDecomposition, n: int, times: np.ndarray)
     sender = np.arange(n)
     receiver = sender + (N - n)  # positional partner of each sender site, 0-indexed
     phi = decomp.eigenvectors
-    # Coefficient c[k, (a, b)] = phi[sender_a, k] * phi[receiver_b, k]
-    coeff = (phi[sender].T[:, :, None] * phi[receiver].T[:, None, :]).reshape(N, n * n)
+    # Coefficient c[(a, b), k] = phi[sender_a, k] * phi[receiver_b, k]
+    coeff = (phi[sender][:, None, :] * phi[receiver][None, :, :]).reshape(n * n, N)
     coarse = np.exp(-1j * np.outer(times[::m], decomp.eigenvalues))
     fine = np.exp(-1j * np.outer(np.arange(m) * step, decomp.eigenvalues))
-    weights = (fine.T[:, :, None] * coeff[:, None, :]).reshape(N, m * n * n)
-    return (coarse @ weights).reshape(-1, n, n)[:T]
+    weights = coeff[:, :, None] * fine.T  # (n^2, N, m)
+    return np.matmul(coarse, weights).reshape(n, n, coarse.shape[0] * m)[..., :T]
 
 
 def subset_minor_series(block: np.ndarray) -> dict[tuple[int, ...], np.ndarray]:
-    """f_S^S(t) for every nonempty subset S: the principal minors of B(t) on rows and columns S."""
+    """f_S^S(t) for every nonempty subset S: the principal minors of B(t) on rows and columns S.
+
+    The block is laid out (n, n, ...), matrix axes first; one whose two
+    leading axes differ raises ValueError before any subset is formed.  Each
+    proper subset gathers one (k, k, ...) stack; the full set is the block.
+    """
+    if block.ndim < 2 or block.shape[0] != block.shape[1]:
+        raise ValueError(f"expected an (n, n, ...) block, matrix axes first, got shape {block.shape}")
+    n = block.shape[0]
     out: dict[tuple[int, ...], np.ndarray] = {}
-    for s in subsets_by_excitation(block.shape[-1], include_empty=False):
+    for s in subsets_by_excitation(n, include_empty=False):
         rows = np.array(s) - 1
-        out[s] = dets(block[:, rows[:, None], rows])  # one (T, k, k) stack per S
+        out[s] = dets(block if len(s) == n else block[rows[:, None], rows])
     return out
 
 
@@ -147,7 +158,10 @@ def total_transfer_amplitude(block: np.ndarray) -> np.ndarray:
     The subset sum is the principal-minor expansion of det(I + B), so the
     average fidelity needs one n x n determinant per time point, not 2^n - 1.
     """
-    return dets(block + np.eye(block.shape[-1]))
+    shifted = block.copy()
+    for a in range(block.shape[0]):
+        shifted[a, a] += 1.0
+    return dets(shifted)
 
 
 def transfer_amplitude_series(

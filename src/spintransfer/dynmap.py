@@ -324,7 +324,7 @@ def _evolution_amplitudes(spec: ChainSpec, n: int, t: float) -> np.ndarray:
     if n != spec.block_size:
         raise ValueError(f"block size mismatch: spec has {spec.block_size}, got {n}")
     if spec.delta == 0.0:
-        return _kraus_from_block(transfer_block_series(spectral(spec), n, [t])[0])
+        return _kraus_from_block(transfer_block_series(spectral(spec), n, [t])[..., 0])
     return receiver_amplitude_tensor(spec, n, t).transpose(0, 2, 1)  # [p, label, env]
 
 

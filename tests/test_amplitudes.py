@@ -13,6 +13,7 @@ from helpers import (
     full_space_index,
     single_particle_propagator,
 )
+from spintransfer import amplitudes
 from spintransfer.amplitudes import (
     TransferAmplitudeSet,
     chain_transition_matrix,
@@ -205,22 +206,29 @@ def test_five_qubit_scan_matches_full_space_evolution(chain, t):
 def test_subset_minors_are_the_minors_and_the_compound_diagonal(n, T):
     """Per-size batched minors equal one-matrix minors and compound-matrix entries bit for bit."""
     rng = np.random.default_rng(100 * n + T)
-    block = rng.standard_normal((T, n, n)) + 1j * rng.standard_normal((T, n, n))
+    block = rng.standard_normal((n, n, T)) + 1j * rng.standard_normal((n, n, T))
     series = subset_minor_series(block)
     assert list(series) == subsets_by_excitation(n, include_empty=False)
-    diagonals = [np.diag(compound_matrix(b)) for b in block]
+    diagonals = [np.diag(compound_matrix(block[..., t])) for t in range(T)]
     for S, values in series.items():
         assert values.shape == (T,)
         idx = [s - 1 for s in S]
         for t in range(T):
-            assert values[t] == minor(block[t], idx, idx)
+            assert values[t] == minor(block[..., t], idx, idx)
             assert values[t] == diagonals[t][block_index(n)[S]]
 
 
+def test_subset_minors_reject_a_time_first_block(monkeypatch):
+    """A (T, n, n) block fails on its shape before the subsets of its T "sites" are formed."""
+    monkeypatch.setattr(amplitudes, "subsets_by_excitation", lambda *args, **kw: pytest.fail("subsets formed"))
+    with pytest.raises(ValueError):
+        subset_minor_series(np.ones((300, 3, 3), dtype=complex))
+
+
 def test_subset_minors_peak_stays_near_the_result():
-    """One (T, k, k) gather per subset: a 16,384-point n = 4 chunk peaks below 2.5x its minors."""
+    """One (k, k, T) gather per subset: a 16,384-point n = 4 chunk peaks below 2.5x its minors."""
     rng = np.random.default_rng(4)
-    block = rng.standard_normal((1 << 14, 4, 4)) + 1j * rng.standard_normal((1 << 14, 4, 4))
+    block = rng.standard_normal((4, 4, 1 << 14)) + 1j * rng.standard_normal((4, 4, 1 << 14))
     tracemalloc.start()
     try:
         series = subset_minor_series(block)
@@ -265,7 +273,7 @@ def test_factorised_phases_stay_within_the_rounding_of_the_direct_exp(times, row
     w = spectral(WEAK_15).eigenvalues
     decomp = EigenDecomposition(eigenvalues=w, eigenvectors=np.eye(w.size))
     exp_rows = _exp_rows(monkeypatch)
-    phases = np.diagonal(transfer_block_series(decomp, w.size, times), axis1=1, axis2=2)
+    phases = np.diagonal(transfer_block_series(decomp, w.size, times))
     assert exp_rows == rows
     exact = np.exp(-1j * np.outer(times.astype(np.longdouble), w.astype(np.longdouble)))
     bound = 4 * np.finfo(float).eps * np.max(np.abs(w)) * np.max(np.abs(times))
@@ -281,13 +289,13 @@ def test_factorised_phases_stay_within_the_rounding_of_the_direct_exp(times, row
 def test_uniform_grids_factorise_and_match_the_direct_exp(times, monkeypatch):
     """A uniform grid takes ceil(T/m) + m rows of exp with m = ceil(sqrt(T)); others take m = 1."""
     decomp = spectral(WEAK_15)
-    direct = [transfer_block_series(decomp, 3, [t])[0] for t in times]  # 1-point calls: m = 1
+    direct = [transfer_block_series(decomp, 3, [t])[..., 0] for t in times]  # 1-point calls: m = 1
     rows = _exp_rows(monkeypatch)
     block = transfer_block_series(decomp, 3, times)
     T = times.size
     uniform = T > 1 and np.ptp(np.diff(times)) <= 1e-9
     m = math.isqrt(T - 1) + 1 if uniform else 1
     assert rows == [-(-T // m), m]
-    assert block.shape == (T, 3, 3)
+    assert block.shape == (3, 3, T)
     if T:
-        assert np.max(np.abs(block - np.array(direct))) <= 1e-12
+        assert np.max(np.abs(block - np.stack(direct, axis=-1))) <= 1e-12

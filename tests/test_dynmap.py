@@ -433,7 +433,7 @@ def test_block_builder_matches_sector_oracle_at_five_and_six_qubits(N, n):
 def test_kraus_tensor_is_an_isometry(chain, t):
     """sum_{i,e} conj(T[P,i,e]) T[Q,i,e] = delta_PQ: the n-mode environment loses no norm."""
     spec, n = chain
-    tensor = _kraus_from_block(transfer_block_series(spectral(spec), n, [t])[0])
+    tensor = _kraus_from_block(transfer_block_series(spectral(spec), n, [t])[..., 0])
     gram = np.einsum("pie,qie->pq", tensor.conj(), tensor)
     assert np.max(np.abs(gram - np.eye(2**n))) <= 1e-13
 
@@ -442,9 +442,9 @@ def test_kraus_tensor_is_an_isometry(chain, t):
 def test_non_contractive_block_is_caught(n, monkeypatch):
     """A block B(t) with a singular value above 1 gives G = I - B B^dagger a negative eigenvalue."""
     spec = ChainSpec.uniform(2 * n + 3, n=n)
-    u, s, vh = np.linalg.svd(transfer_block_series(spectral(spec), n, [4.1])[0])
+    u, s, vh = np.linalg.svd(transfer_block_series(spectral(spec), n, [4.1])[..., 0])
     s[0] = 1.0 + 1e-6
-    monkeypatch.setattr(dynmap, "transfer_block_series", lambda *args: ((u * s) @ vh)[None])
+    monkeypatch.setattr(dynmap, "transfer_block_series", lambda *args: ((u * s) @ vh)[..., None])
     with pytest.raises(MapConstructionError):
         map_from_evolution(spec, n, 4.1)
 

@@ -3,6 +3,7 @@ import pytest
 import scipy.linalg
 
 from helpers import cofactor_det
+from spintransfer.amplitudes import total_transfer_amplitude
 from spintransfer.basis import excitation_sector, sector_positions, subsets_by_excitation
 from spintransfer.linalg import compound_matrix, dets, eig_tridiag, minor
 
@@ -103,9 +104,30 @@ def test_matches_scipy_banded_solver(fields):
 
 
 def test_det_rejects_nonsquare():
-    for shape in [(2, 3), (3, 1), (4, 2, 1), (3,)]:
+    # (300, 3, 3) is a time-first stack of 3 x 3 matrices: the matrix axes must lead
+    for shape in [(2, 3), (3, 1), (4, 2, 1), (3,), (300, 3, 3)]:
         with pytest.raises(ValueError):
             dets(np.ones(shape))
+
+
+@pytest.mark.parametrize("batch", [(), (5,), (2, 0)])
+def test_dets_of_empty_matrices_are_one(batch):
+    got = dets(np.ones((0, 0, *batch), dtype=complex))
+    assert got.shape == batch
+    assert np.all(got == 1.0)
+
+
+@pytest.mark.parametrize("batch", [0, 1, 7, 1 << 14])
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6, 7, 8])
+def test_dets_match_lu_on_both_sides_of_the_expansion_limit(k, batch):
+    """Expansion (k <= 6) and LU (k >= 7) against numpy's LU, relative to the Hadamard bound."""
+    rng = np.random.default_rng(10 * k + batch % 97)
+    stack = rng.standard_normal((k, k, batch)) + 1j * rng.standard_normal((k, k, batch))
+    got = dets(stack)
+    assert got.shape == (batch,)
+    want = np.linalg.det(np.moveaxis(stack, (0, 1), (-2, -1)))
+    hadamard = np.prod(np.linalg.norm(stack, axis=1), axis=0)
+    assert np.all(np.abs(got - want) <= 1e-14 * hadamard)
 
 
 def test_minor_single_entry_and_full_set():
@@ -141,17 +163,32 @@ def test_minor_rejects_bad_indices():
         minor(np.ones((2, 3)), [0], [0])  # the matrix itself must be square
 
 
-@pytest.mark.parametrize("k", [1, 2, 3, 5])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8])
+def test_exactly_singular_one_plus_block_has_zero_determinant(n):
+    """det(I + B) for B = -I, and for B = -P with P a random rank-r projector, so I + B has rank n - r."""
+    rng = np.random.default_rng(80 + n)
+    blocks = [-np.eye(n, dtype=complex)]
+    for r in range(1, n + 1):
+        for _ in range(8):
+            z = rng.standard_normal((n, r)) + 1j * rng.standard_normal((n, r))
+            q = np.linalg.qr(z)[0]
+            blocks.append(-(q @ q.conj().T))
+    got = total_transfer_amplitude(np.stack(blocks, axis=-1))
+    assert np.max(np.abs(got)) <= 1e-15
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 5, 7])
 def test_dets_of_a_stack_match_one_matrix_at_a_time(k):
     rng = np.random.default_rng(60 + k)
-    stack = rng.standard_normal((2, 3, k, k)) + 1j * rng.standard_normal((2, 3, k, k))
+    stack = rng.standard_normal((k, k, 2, 3)) + 1j * rng.standard_normal((k, k, 2, 3))
     got = dets(stack)
     assert got.shape == (2, 3)
     for i in range(2):
         for j in range(3):
-            want = stack[i, j, 0, 0] if k == 1 else np.linalg.det(stack[i, j])
-            assert got[i, j] == want
-    assert dets(stack[:0]).shape == (0, 3)
+            assert got[i, j] == dets(stack[:, :, i, j])
+            if k == 1:
+                assert got[i, j] == stack[0, 0, i, j]
+    assert dets(stack[:, :, :0]).shape == (0, 3)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
@@ -191,7 +228,7 @@ def test_compound_matrix_is_bit_identical_with_cached_positions(r, c):
     for k in range(1, r + 1):
         rows = np.array(excitation_sector(r, k)) - 1
         cols = np.array(excitation_sector(c, k)) - 1
-        stack = x[rows[:, None, :, None], cols[None, :, None, :]]
+        stack = x[rows.T[:, None, :, None], cols.T[None, :, None, :]]
         want[row : row + len(rows), col : col + len(cols)] = dets(stack)
         row, col = row + len(rows), col + len(cols)
     for _ in range(2):  # a first and a repeated (cached) call

@@ -157,6 +157,22 @@ def test_weak_coupling_transfer_quality_and_stability():
     assert abs(res.fidelity_at_optimum - res2.fidelity_at_optimum) < 1e-4
 
 
+@pytest.mark.parametrize(
+    "spec, fidelity, time",
+    [(WEAK_15, 0.9996522843448858, 178421.72719985474), (ENG_18, 0.9825414236214055, 77653.07229971504)],
+    ids=["weak15", "eng18"],
+)
+def test_default_search_optimum_is_pinned(spec, fidelity, time):
+    """The default search's optimum on both acceptance chains.
+
+    Rounding in the determinant kernel may move F* in its last bits and t*
+    along a flat top; a change to the search grid or refinement re-pins them.
+    """
+    res = find_optimal_time(spec, spec.block_size)
+    assert abs(res.fidelity_at_optimum - fidelity) <= 1e-12
+    assert abs(res.optimal_time - time) <= 1e-6
+
+
 def test_optimal_fidelity_monotone_in_coupling():
     strong = find_optimal_time(ChainSpec.weak_coupling(9, 3, 0.02), 3)
     weak = find_optimal_time(WEAK_15, 3)
