@@ -16,6 +16,7 @@ fermionic reordering sign of the underlying hopping model.)
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 from itertools import combinations
 
@@ -47,9 +48,22 @@ def excitation_sector(n_sites: int, k: int) -> list[tuple[int, ...]]:
 @lru_cache(maxsize=64)
 def sector_positions(n_sites: int, k: int) -> np.ndarray:
     """excitation_sector(n_sites, k) as a read-only (C(n_sites, k), k) array of 0-indexed sites."""
-    positions = np.array(excitation_sector(n_sites, k)) - 1
+    positions = np.array(excitation_sector(n_sites, k), dtype=int) - 1
     positions.flags.writeable = False
     return positions
+
+
+def sector_rank(positions: np.ndarray, n_sites: int) -> np.ndarray:
+    """Inverse of sector_positions: the row of sector_positions(n_sites, k) equal to each given row.
+
+    Rows of ascending 0-indexed sites c_0 < ... < c_(k-1) lie along the last
+    axis.  The lexicographic rank C(n_sites, k) - 1 - sum_i C(n_sites - 1 - c_i, k - i)
+    subtracts the count of k-subsets that come later.
+    """
+    k = np.shape(positions)[-1]
+    binomials = np.array([[math.comb(m, j) for j in range(k + 1)] for m in range(n_sites + 1)])
+    later = binomials[n_sites - 1 - np.asarray(positions), np.arange(k, 0, -1)].sum(axis=-1)
+    return math.comb(n_sites, k) - 1 - later
 
 
 def partner_sites(sites: tuple[int, ...], n_total: int, block: int) -> tuple[int, ...]:
@@ -60,7 +74,3 @@ def partner_sites(sites: tuple[int, ...], n_total: int, block: int) -> tuple[int
     """
     return tuple(s + n_total - block for s in sites)
 
-
-def partner_labels(receiver_sites: tuple[int, ...], n_total: int, block: int) -> tuple[int, ...]:
-    """Block labels of a set of receiver sites under the positional pairing."""
-    return tuple(s - (n_total - block) for s in receiver_sites)

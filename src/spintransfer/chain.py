@@ -112,13 +112,10 @@ class ChainSpec:
             return (n,)
         return (n, self.N - n)
 
-    def is_mirror_symmetric(self, tol: float = 0.0) -> bool:
-        j = np.asarray(self.couplings)
-        h = np.asarray(self.fields)
-        return bool(
-            np.allclose(j, j[::-1], atol=tol, rtol=0.0)
-            and np.allclose(h, h[::-1], atol=tol, rtol=0.0)
-        )
+    def is_mirror_symmetric(self) -> bool:
+        """Whether the couplings and the fields read the same in reverse, exactly."""
+        j, h = np.asarray(self.couplings), np.asarray(self.fields)
+        return bool(np.array_equal(j, j[::-1]) and np.array_equal(h, h[::-1]))
 
     # -- construction helpers -----------------------------------------------
 

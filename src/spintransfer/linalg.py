@@ -92,7 +92,7 @@ def _expansion_plan(k: int) -> tuple:
     return tuple(levels)
 
 
-# Largest k expanded by minors: k 2^(k-1) products against LU's ~k^3 operations.
+# Largest k expanded by minors, the measured crossover with batched LU (see dets).
 _EXPANSION_MAX = 6
 _EXPANSION_PLANS = tuple(_expansion_plan(k) for k in range(_EXPANSION_MAX + 1))
 
@@ -105,14 +105,14 @@ def dets(stack: np.ndarray) -> np.ndarray:
     for every (r + 1)-column subset C, each entry the alternating sum over
     positions p of A[r, C[p]] det A[0..r-1, C minus C[p]].  That is
     k 2^(k-1) complex products per matrix, each one elementwise over the
-    whole batch, against the ~k^3 operations of LU with its per-matrix loop;
-    k 2^(k-1) <= k^3 holds up to k = 6, and larger k go to numpy's batched
-    LU.  Per 16,384-matrix stack with one BLAS thread on an x86_64 VM, the
-    expansion took 0.20, 0.61 and 4.2 ms at k = 3, 4 and 6, against 3.3,
-    4.8 and 9.0 ms for LU on a contiguous (..., k, k) stack.  Extended past
-    the rule it took 12.1 and 26 ms at k = 7 and 8, against LU's 11.4 and
-    14 ms (14.4 and 17.7 ms on the strided view of a (k, k, ...) stack that
-    LU gets here).
+    whole batch, against the ~k^3 operations of LU with its per-matrix loop.
+    Larger k go to numpy's batched LU.  Per 16,384-matrix stack, one BLAS
+    thread, x86_64 VM: the expansion took 0.20, 0.61 and 4.2 ms at k = 3, 4
+    and 6, against 3.3, 4.8 and 9.0 ms for LU on a contiguous stack.  At
+    k = 7 it beats LU on the strided view of random stacks (21-27 against
+    27-32 ms), but LU barely pivots on the I + B(t) stacks of a scan, where
+    `scan_values` at n = 7 took 138-144 ms per 65,536 points with LU against
+    158-161 ms expanded; at k = 8 LU wins outright (34-42 against 54-62 ms).
 
     1 x 1 determinants are the entries themselves, and a 0 x 0 matrix has
     determinant 1.  A stack whose two leading axes differ raises ValueError.

@@ -8,6 +8,11 @@ constant and single-site pieces absorbed in the energy zero), so the
 one-excitation sector never feels it and the sector Hamiltonian reduces to
 the hopping matrix used by the determinant engine at delta = 0.
 
+A sector state is its row of basis.sector_positions(N, k), the ascending
+0-indexed excited sites in lexicographic order; basis.sector_rank finds a
+state's row arithmetically.  The Hamiltonian, the reflection and the
+receiver tables rank whole arrays of states at once, with no per-state loop.
+
 On a mirror-symmetric chain the reflection s -> N + 1 - s commutes with each
 sector Hamiltonian, which is then diagonalised as two parity blocks of about
 half its size.  Any other chain takes the same path with the identity as its
@@ -29,7 +34,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .basis import block_index, excitation_sector, partner_labels, subsets_by_excitation
+from .basis import sector_positions, sector_rank
 from .chain import ChainSpec
 from .errors import DimensionCapError
 
@@ -86,18 +91,9 @@ class McResult:
 # ---------------------------------------------------------------------------
 
 
-def _mirror_pairs(spec: ChainSpec, basis: list, index: dict):
-    """Fixed states and pairs lo < hi = R lo of the reflection R: s -> N + 1 - s (identity if asymmetric)."""
-    a = np.arange(len(basis))
-    r = a
-    if spec.is_mirror_symmetric():
-        r = np.array([index[tuple(spec.N + 1 - s for s in reversed(sites))] for sites in basis])
-    return a[a == r], a[a < r], r[a < r]
-
-
 @lru_cache(maxsize=128)
 def _sector(spec: ChainSpec, k: int):
-    """Basis, basis index and Hamiltonian eigendecomposition of the k-excitation sector.
+    """Basis sector_positions(N, k) and Hamiltonian eigendecomposition of the k-excitation sector.
 
     h is gathered by index into an even block (fixed states, pairs (|lo> + |hi>)/sqrt2)
     and an odd one (pairs (|lo> - |hi>)/sqrt2), whose eigenvectors are scattered
@@ -108,22 +104,20 @@ def _sector(spec: ChainSpec, k: int):
         raise DimensionCapError(
             f"sector dimension C({spec.N},{k}) = {dim} exceeds the cap {MAX_SECTOR_DIM}"
         )
-    basis = excitation_sector(spec.N, k)
-    index = {s: i for i, s in enumerate(basis)}
+    sites = sector_positions(spec.N, k)
+    gaps = np.diff(sites, axis=1, append=spec.N)  # to the next excited site, or past the last site
     h = np.zeros((dim, dim))
-    fields = np.asarray(spec.fields)
-    couplings = np.asarray(spec.couplings)
-    for a, sites in enumerate(basis):
-        occupied = set(sites)
-        diag = float(np.sum(fields[[s - 1 for s in sites]])) if sites else 0.0
-        diag += spec.delta * sum(1 for s in sites if s + 1 in occupied)
-        h[a, a] = diag
-        for s in sites:
-            if s + 1 <= spec.N and s + 1 not in occupied:
-                moved = tuple(sorted(occupied - {s} | {s + 1}))
-                b = index[moved]
-                h[a, b] = h[b, a] = couplings[s - 1] / 2.0
-    fixed, lo, hi = _mirror_pairs(spec, basis, index)
+    adjacent_pairs = np.count_nonzero(gaps[:, :-1] == 1, axis=1)
+    np.fill_diagonal(h, np.asarray(spec.fields)[sites].sum(axis=1) + spec.delta * adjacent_pairs)
+    rows, i = np.nonzero(gaps > 1)  # excitation i of state rows can hop one site right
+    moved = sites[rows]
+    moved[np.arange(len(rows)), i] += 1
+    cols = sector_rank(moved, spec.N)
+    h[rows, cols] = h[cols, rows] = np.asarray(spec.couplings)[sites[rows, i]] / 2.0
+    # Fixed states and pairs lo < hi = R lo of the reflection R: s -> N + 1 - s (identity if asymmetric).
+    a = np.arange(dim)
+    r = sector_rank(spec.N - 1 - sites[:, ::-1], spec.N) if spec.is_mirror_symmetric() else a
+    fixed, lo, hi = a[a == r], a[a < r], r[a < r]
     keep = np.concatenate([fixed, lo])
     nf, m = len(fixed), len(keep)
     # Each intermediate is dropped once used: a mirror-symmetric sector peaks at 1.5 copies of h.
@@ -148,7 +142,7 @@ def _sector(spec: ChainSpec, k: int):
     w = np.concatenate([w_even, w_odd])
     for array in (w, v):
         array.flags.writeable = False
-    return basis, index, w, v
+    return sites, w, v
 
 
 def _real_matmul(v: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -160,10 +154,10 @@ def evolve_block(spec: ChainSpec, state: PureState, t: float, *, excitations: in
     """Exact evolution of a state living in one excitation sector of the chain."""
     if not math.isfinite(t):
         raise ValueError(f"evolution time must be finite, got {t}")
-    basis, _, w, v = _sector(spec, excitations)
-    if state.dimension != len(basis):
+    sites, w, v = _sector(spec, excitations)
+    if state.dimension != len(sites):
         raise ValueError(
-            f"state dimension {state.dimension} does not match sector size {len(basis)}"
+            f"state dimension {state.dimension} does not match sector size {len(sites)}"
         )
     phases = np.exp(-1j * w * t)
     out = _real_matmul(v, phases * _real_matmul(v.T, state.amplitudes))
@@ -177,28 +171,29 @@ def evolve_block(spec: ChainSpec, state: PureState, t: float, *, excitations: in
 
 @lru_cache(maxsize=64)
 def _reduction(spec: ChainSpec, n: int):
-    """Scatter tables mapping sector basis states to (environment id, receiver label).
+    """Per sector k <= n: rows of the launched sender states, environment ids and receiver labels.
 
-    The environment is everything outside the receiver block.  Receiver
-    occupation patterns are converted to positional labels: receiver site
-    N - n + s counts as label site s, and the label subset is looked up in
-    the canonical block ordering.
+    The launched states are the k-subsets of the sender sites, the first n.
+    The environment is the first m = N - n sites, numbered by excitation
+    number, then lexicographically; receiver site N - n + s is label site s,
+    in the order of subsets_by_excitation(n).  Sector k is the union over the
+    receiver charge j of (k - j)-subsets of the environment times j-subsets
+    of the receiver, and each such product is ranked and scattered at once.
     """
-    receiver = set(spec.receiver_sites)
-    label_index = block_index(n)
-    env_ids: dict[tuple[int, ...], int] = {}
-    tables = {}
+    m = spec.N - n
+    env_start = np.cumsum([0] + [math.comb(m, c) for c in range(n + 1)])
+    lab_start = np.cumsum([0] + [math.comb(n, j) for j in range(n + 1)])
+    tables = []
     for k in range(n + 1):
-        basis = excitation_sector(spec.N, k)
-        env_col = np.empty(len(basis), dtype=int)
-        lab_col = np.empty(len(basis), dtype=int)
-        for a, sites in enumerate(basis):
-            r = tuple(s for s in sites if s in receiver)
-            e = tuple(s for s in sites if s not in receiver)
-            env_col[a] = env_ids.setdefault(e, len(env_ids))
-            lab_col[a] = label_index[partner_labels(r, spec.N, n)]
-        tables[k] = (env_col, lab_col)
-    return tables, len(env_ids)
+        env_col, lab_col = np.empty((2, math.comb(spec.N, k)), dtype=int)
+        for j in range(max(0, k - m), k + 1):
+            env, rec = sector_positions(m, k - j), sector_positions(n, j)
+            e, x = np.divmod(np.arange(len(env) * len(rec)), len(rec))
+            rows = sector_rank(np.concatenate([env[e], rec[x] + m], axis=1), spec.N)
+            env_col[rows] = env_start[k - j] + e
+            lab_col[rows] = lab_start[j] + x
+        tables.append((sector_rank(sector_positions(n, k), spec.N), env_col, lab_col))
+    return tables, int(env_start[-1])
 
 
 def receiver_amplitude_tensor(spec: ChainSpec, n: int, t: float) -> np.ndarray:
@@ -217,14 +212,12 @@ def receiver_amplitude_tensor(spec: ChainSpec, n: int, t: float) -> np.ndarray:
     tables, n_env = _reduction(spec, n)
     d = 2**n
     out = np.zeros((d, n_env, d), dtype=complex)
-    sender_subsets = subsets_by_excitation(n)
-    for p, subset in enumerate(sender_subsets):
-        k = len(subset)
-        _, index, w, v = sectors[k]
-        # The launched basis state's eigen-coefficients are one row of v.
-        psi = _real_matmul(v, np.exp(-1j * w * t) * v[index[subset]])
-        env_col, lab_col = tables[k]
-        out[p][env_col, lab_col] = psi  # (env, label) splits are unique per basis state
+    p = 0
+    for (_, w, v), (launched, env_col, lab_col) in zip(sectors, tables):
+        for row in launched:
+            # The launched basis state's eigen-coefficients are one row of v.
+            out[p][env_col, lab_col] = _real_matmul(v, np.exp(-1j * w * t) * v[row])
+            p += 1
     return out
 
 

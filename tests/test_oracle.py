@@ -1,4 +1,5 @@
 import tracemalloc
+from itertools import combinations
 from math import comb
 
 import numpy as np
@@ -21,6 +22,7 @@ from spintransfer.fidelity import avg_fidelity_from_map
 from spintransfer.oracle import (
     McResult,
     PureState,
+    _reduction,
     _sector,
     evolve_block,
     haar_sample_fidelity,
@@ -64,10 +66,10 @@ def test_single_excitation_sector_ignores_anisotropy():
 
 
 def test_cached_sector_arrays_are_read_only():
-    _, _, w, v = _sector(ChainSpec.uniform(6, n=2), 2)
-    for array in (w, v):
+    sites, w, v = _sector(ChainSpec.uniform(6, n=2), 2)
+    for array in (sites, w, v):
         with pytest.raises(ValueError):
-            array[0] = 0.0
+            array[0] = 0
 
 
 def test_warm_tensor_makes_no_complex_copy_of_the_eigenvectors():
@@ -222,6 +224,52 @@ def test_two_excitation_amplitude_equals_minor():
         assert out.amplitudes[basis.index(pq)] == pytest.approx(
             multi_amplitude(F, (1, 2), pq), abs=1e-10
         )
+
+
+def _brute_force_tensor(spec, n, t):
+    """receiver_amplitude_tensor from evolve_block and tuple bookkeeping: environments numbered
+    in order of first appearance over sectors 0..n, labels by size, then lexicographically."""
+    N, m = spec.N, spec.N - n
+    labels = sorted((s for j in range(n + 1) for s in combinations(range(1, n + 1), j)), key=lambda s: (len(s), s))
+    env_ids, tables, columns = {}, [], []
+    for k in range(n + 1):
+        basis = list(combinations(range(1, N + 1), k))
+        env_col = [env_ids.setdefault(tuple(s for s in sites if s <= m), len(env_ids)) for sites in basis]
+        lab_col = [labels.index(tuple(s - m for s in sites if s > m)) for sites in basis]
+        launched = [basis.index(subset) for subset in combinations(range(1, n + 1), k)]
+        tables.append((launched, env_col, lab_col))
+        columns += [(k, a, env_col, lab_col) for a in launched]
+    out = np.zeros((2**n, len(env_ids), 2**n), dtype=complex)
+    for p, (k, a, env_col, lab_col) in enumerate(columns):
+        out[p][env_col, lab_col] = evolve_block(spec, _unit_state(comb(N, k), a), t, excitations=k).amplitudes
+    return tables, len(env_ids), out
+
+
+_REDUCTION_CHAINS = [
+    *[("mirrored", 2 * n + 3, n) for n in (1, 2, 3, 4)],
+    *[("unmirrored", 2 * n + 2, n) for n in (1, 2, 3, 4)],
+    ("unmirrored", 70, 1),
+    ("mirrored", 70, 2),
+]
+
+
+@pytest.mark.parametrize("kind, N, n", _REDUCTION_CHAINS)
+def test_reduction_tables_and_tensor_match_a_brute_force_enumeration(kind, N, n):
+    """N = 70 has states past bit 63, which an int64 bitmask would lose."""
+    spec = _with_delta(ChainSpec.uniform(N, n=n), -0.35)
+    if kind == "unmirrored":
+        spec = ChainSpec.from_dict({**spec.to_dict(), "fields": list(np.random.default_rng(N).uniform(-1, 1, N))})
+    assert spec.is_mirror_symmetric() == (kind == "mirrored")
+    tables, n_env = _reduction(spec, n)
+    want_tables, want_env, want_tensor = _brute_force_tensor(spec, n, 6.1)
+    assert n_env == want_env == sum(comb(N - n, c) for c in range(n + 1))
+    for got, want in zip(tables, want_tables, strict=True):
+        for got_col, want_col in zip(got, want, strict=True):
+            assert got_col.tolist() == want_col
+    tensor = receiver_amplitude_tensor(spec, n, 6.1)
+    assert np.max(np.abs(tensor - want_tensor)) <= 1e-14
+    norms = np.sum(np.abs(tensor) ** 2, axis=(1, 2))
+    assert np.max(np.abs(norms - 1.0)) <= 1e-12
 
 
 def test_sector_cap():
