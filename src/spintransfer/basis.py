@@ -58,9 +58,12 @@ def sector_rank(positions: np.ndarray, n_sites: int) -> np.ndarray:
 
     Rows of ascending 0-indexed sites c_0 < ... < c_(k-1) lie along the last
     axis.  The lexicographic rank C(n_sites, k) - 1 - sum_i C(n_sites - 1 - c_i, k - i)
-    subtracts the count of k-subsets that come later.
+    subtracts the count of k-subsets that come later.  A row that, framed by
+    -1 and n_sites, does not rise at every step raises ValueError.
     """
     k = np.shape(positions)[-1]
+    if not np.all(np.diff(positions, axis=-1, prepend=-1, append=n_sites) > 0):
+        raise ValueError(f"rows must be strictly ascending sites in [0, {n_sites})")
     binomials = np.array([[math.comb(m, j) for j in range(k + 1)] for m in range(n_sites + 1)])
     later = binomials[n_sites - 1 - np.asarray(positions), np.arange(k, 0, -1)].sum(axis=-1)
     return math.comb(n_sites, k) - 1 - later

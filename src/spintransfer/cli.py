@@ -37,14 +37,15 @@ from .errors import (
     SolverError,
 )
 from .fidelity import (
+    MAX_CHANNELS,
+    independent_channels_fidelity,
     independent_channels_stats,
     product_ratio_vs_amplitude,
-    product_ratio_vs_fidelity,
-    product_state_variance,
+    product_state_stats,
     stats_from_map,
 )
 from .oracle import McResult, haar_sample_fidelity, sample_fidelity_values
-from .protocol import FidelityScan, phase_aligned_fidelity, scan_chunks
+from .protocol import FidelityScan, scan_chunks
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -55,7 +56,7 @@ EXIT_STATISTICAL = 4
 # their moduli); grids with more cells than this are rejected before any work.
 # The CSV scan is streamed, so this bounds the run time, not the memory.
 MAX_SCAN_CELLS = 1 << 26
-# Commands that build a dynamical map hold its 4**n complex elements: 268 MB at this cap.
+# montecarlo builds a dynamical map and holds its 4**n complex elements: 268 MB at this cap.
 MAX_MAP_QUBITS = 6
 _CSV_BLOCK_ROWS = 1 << 10  # rows turned into Python floats and joined at a time
 
@@ -283,8 +284,8 @@ def cmd_scan(config: argparse.Namespace) -> int:
             del table["F_envelope"]
         for s, series in scan.amplitudes.items():
             table["abs_f_" + "".join(map(str, s))] = np.abs(series)
-        if n == 1:
-            table["F_phase_aligned"] = phase_aligned_fidelity(scan.amplitudes[(1,)])
+        if n == 1:  # with the receiver's phase aligned only |f| counts
+            table["F_phase_aligned"] = independent_channels_fidelity(table["abs_f_1"], 1)
         return table
 
     _emit_table(config.out, config.format, map(columns, scan_chunks(spec, n, times)))
@@ -296,10 +297,8 @@ def cmd_independent(config: argparse.Namespace) -> int:
         ns = [int(x) for x in config.n_list.split(",") if x.strip()]
     except ValueError as exc:
         raise ConfigError(f"bad --n-list {config.n_list!r}") from exc
-    if not ns:
-        raise ConfigError("--n-list names no channel count")
-    if not all(1 <= n <= MAX_MAP_QUBITS for n in ns):
-        raise ConfigError(f"--n-list {config.n_list!r}: each count must be 1 to {MAX_MAP_QUBITS}")
+    if not ns or not all(1 <= n <= MAX_CHANNELS for n in ns):
+        raise ConfigError(f"--n-list {config.n_list!r} must name counts from 1 to {MAX_CHANNELS}")
     points = config.grid if config.grid is not None else 201
     if points < 2:
         raise ConfigError("--grid must be at least 2")
@@ -310,20 +309,19 @@ def cmd_independent(config: argparse.Namespace) -> int:
         for n in ns:
             for lo in range(0, points, _CSV_BLOCK_ROWS):
                 f = f_grid[lo : lo + _CSV_BLOCK_ROWS]
-                stats, one = independent_channels_stats(f, n), independent_channels_stats(f, 1)
-                # At the random-guess floor F = 1/d (f = 0) R_F takes its continuous limit, 1.
-                above = stats.mean > 1.0 / 2**n + 1e-15
-                R_F = np.ones_like(f)
-                R_F[above] = product_ratio_vs_fidelity(stats.mean[above], n)
+                stats = independent_channels_stats(f, n)
+                product = product_state_stats(independent_channels_stats(f, 1), n)
+                # F_n fixes the real amplitude f, so the ratio at fixed F_n is the ratio at f.
+                ratio = product_ratio_vs_amplitude(f, n)
                 yield {
                     "n": np.full_like(f, n),
                     "f": f,
                     "F_n": stats.mean,
-                    "F1_pow_n": one.mean**n,
-                    "R_f": product_ratio_vs_amplitude(f, n),
-                    "R_F": R_F,
+                    "F1_pow_n": product.mean,
+                    "R_f": ratio,
+                    "R_F": ratio,
                     "variance_full": stats.variance,
-                    "variance_product": product_state_variance(one, n),
+                    "variance_product": product.variance,
                     "cv": stats.cv,
                 }
 
@@ -402,16 +400,14 @@ def cmd_montecarlo(config: argparse.Namespace) -> int:
     }
 
     if config.product:
-        stats1 = independent_channels_stats(config.amplitude, 1)
-        prod_mean = stats1.mean**n_qubits
-        prod_m2 = stats1.second_moment**n_qubits
+        ref = product_state_stats(independent_channels_stats(config.amplitude, 1), n_qubits)
         prod_values = sample_fidelity_values(
             evaluator, m.d, config.samples, config.seed + 1, product_of=n_qubits
         )
         prod = McResult.from_values(prod_values, config.seed + 1)
-        report["product"] = _mc_block(prod, prod_mean, prod_m2)
-        report["product"]["analytic_mean"] = prod_mean
-        report["product"]["analytic_second_moment"] = prod_m2
+        report["product"] = _mc_block(prod, ref.mean, ref.second_moment)
+        report["product"]["analytic_mean"] = ref.mean
+        report["product"]["analytic_second_moment"] = ref.second_moment
 
     zs = [report["haar"]["z_mean"], report["haar"]["z_second_moment"]]
     if config.product:

@@ -10,6 +10,7 @@ moment the 24 S4 pairing contractions of two copies of it.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -186,12 +187,19 @@ def avg_fidelity_two_qubit(f1: complex, f2: complex, f12: complex) -> float:
 # scalar call would not give the digits of the same entry of an array call.
 # ---------------------------------------------------------------------------
 
+# Up to this many channels d(d+1)(d+2)(d+3), d = 2^n, is a finite float: 2^(4n) < 2^max_exp.
+MAX_CHANNELS = (sys.float_info.max_exp - 1) // 4
+
+
+def _check_channel_count(n: int) -> None:
+    if not 1 <= n <= MAX_CHANNELS:
+        raise ValueError(f"channel count must be 1 to {MAX_CHANNELS}, got {n}")
+
 
 def independent_channels_fidelity(f, n: int):
     """Average fidelity of n qubits sent through identical independent channels, entrywise in f."""
     f = _checked_amplitudes(f)
-    if n < 1:
-        raise ValueError("need at least one channel")
+    _check_channel_count(n)
     d = 2**n
     return 1.0 / (d + 1) + np.power(np.abs(1.0 + f), 2 * n) / (d * (d + 1))
 
@@ -219,8 +227,7 @@ def product_ratio_vs_amplitude(f, n: int):
     f = np.asarray(f, dtype=float)
     if not np.all((0.0 <= f) & (f <= 1.0)):
         raise ValueError(f"amplitude must lie in [0, 1], got {f}")
-    if n < 1:
-        raise ValueError("need at least one channel")
+    _check_channel_count(n)
     num = (2**n + 1) * np.power(f * (f + 2) + 3, n)
     den = 3**n * (np.power(f + 1, 2 * n) + 2**n)
     return num / den
@@ -247,12 +254,13 @@ def product_ratio_vs_fidelity(F, n: int):
     return np.power(1.0 + np.power(d * F + F - 1.0, 1.0 / n), n) / (3**n * F)
 
 
-def product_state_variance(one_qubit_stats: FidelityStats, n: int):
-    """Fidelity variance over product-state inputs of n independent channels, entrywise.
+def product_state_stats(one_qubit_stats: FidelityStats, n: int) -> FidelityStats:
+    """Fidelity statistics over product-state inputs of n independent channels, entrywise.
 
     Factorisation over channels turns moments into powers:
-    <F^2> = <F_1^2>^n and <F> = <F_1>^n.
+    <F> = <F_1>^n and <F^2> = <F_1^2>^n.
     """
-    if n < 1:
-        raise ValueError("need at least one channel")
-    return np.power(one_qubit_stats.second_moment, n) - np.power(one_qubit_stats.mean, 2 * n)
+    _check_channel_count(n)
+    return FidelityStats.from_moments(
+        np.power(one_qubit_stats.mean, n), np.power(one_qubit_stats.second_moment, n)
+    )

@@ -29,14 +29,6 @@ _SCAN_CHUNK = 1 << 14
 _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 
 
-def _optional_report(spec: ChainSpec, n: int) -> ResonanceReport | None:
-    """Resonance analysis of the chain, or None where the layout has none."""
-    try:
-        return resonance_report(spec, n)
-    except (ValueError, ResonanceError):
-        return None
-
-
 def transfer_envelope(spec: ChainSpec, n: int) -> Callable[[np.ndarray], np.ndarray]:
     """Slow envelope sin^4(delta_omega t / 2) of the transfer fidelity, peaking at t = tau."""
     delta_omega = resonance_report(spec, n).delta_omega
@@ -45,12 +37,6 @@ def transfer_envelope(spec: ChainSpec, n: int) -> Callable[[np.ndarray], np.ndar
         return np.sin(delta_omega * np.asarray(t) / 2.0) ** 4
 
     return envelope
-
-
-def phase_aligned_fidelity(f):
-    """Single-qubit average fidelity after aligning the receiver phase, so only |f| matters."""
-    f = np.abs(f)
-    return 0.5 + f**2 / 6.0 + f / 3.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -99,7 +85,10 @@ def scan_chunks(spec: ChainSpec, n: int, t_grid) -> Iterator[FidelityScan]:
     Consuming the pieces one at a time keeps memory independent of the grid.
     """
     times = np.asarray(t_grid, dtype=float)
-    envelope = transfer_envelope(spec, n) if _optional_report(spec, n) is not None else None
+    try:
+        envelope = transfer_envelope(spec, n)
+    except (ValueError, ResonanceError):  # no resonance analysis for this layout
+        envelope = None
     for chunk, block in _block_chunks(spec, n, times):
         amplitudes = subset_minor_series(block)
         terms = fidelity_terms(amplitudes.values(), 2**n, total_transfer_amplitude(block))
@@ -169,11 +158,14 @@ def find_optimal_time(
     ceil((hi - lo) / 0.2) + 1 points, a spacing of at most 0.2 in the time
     unit of the couplings, whatever their size.
     """
-    if window is None:
+    try:
         report = resonance_report(spec, n)
+    except (ValueError, ResonanceError):  # no resonance analysis for this layout
+        if window is None:
+            raise
+        report = None
+    if window is None:
         window = (0.0, 1.2 * report.transfer_time)
-    else:
-        report = _optional_report(spec, n)
     lo, hi = float(window[0]), float(window[1])
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ValueError(f"search window ({lo}, {hi}) is not finite")

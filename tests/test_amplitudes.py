@@ -79,6 +79,13 @@ def test_full_band_two_site_chain():
         assert multi_amplitude(F, (1, 2), (1, 2)) == pytest.approx(1.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("n", [0, 4])
+def test_transfer_amplitudes_reject_a_block_the_chain_cannot_hold(n):
+    F = chain_transition_matrix(ChainSpec.uniform(6, n=2), 1.0)
+    with pytest.raises(ValueError, match="does not fit a chain of 6 sites"):
+        transfer_amplitudes(F, n)
+
+
 def test_multi_amplitude_rejects_unsorted_sites():
     F = chain_transition_matrix(ChainSpec.uniform(6, n=2), 1.0)
     with pytest.raises(ValueError):

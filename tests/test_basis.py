@@ -3,7 +3,7 @@ from math import comb
 import numpy as np
 import pytest
 
-from spintransfer.basis import sector_positions, sector_rank
+from spintransfer.basis import sector_positions, sector_rank, subsets_by_excitation
 
 
 @pytest.mark.parametrize("N", [0, 1, 5])
@@ -31,3 +31,18 @@ def test_sector_rank_on_two_hundred_sites(k):
     picks = np.random.default_rng(k).choice(len(positions), 20)
     assert np.array_equal(sector_rank(positions[picks], 200), picks)
 
+
+
+@pytest.mark.parametrize(
+    "row",
+    [[0, 6], [3, 1], [2, 2], [-1, 2]],
+    ids=["site-past-the-end", "descending", "repeated", "negative-site"],
+)
+def test_sector_rank_rejects_rows_that_are_not_ascending_sites(row):
+    with pytest.raises(ValueError, match="strictly ascending"):
+        sector_rank(np.array([[0, 1], row]), 6)
+
+
+def test_subsets_of_a_negative_block_are_rejected():
+    with pytest.raises(ValueError, match="nonnegative"):
+        subsets_by_excitation(-1)

@@ -12,6 +12,7 @@ from spintransfer.chain import (
     resonance_report,
     spectral,
 )
+from spintransfer.errors import ResonanceError
 
 
 def test_two_site_hamiltonian():
@@ -255,6 +256,39 @@ def test_engineered_sender_coupling_validation():
         engineered_sender_coupling(10, k=11, s=1)
     with pytest.raises(ValueError):
         engineered_sender_coupling(10, k=2, s=3)
+
+
+@pytest.mark.parametrize(
+    "changes, message",
+    [
+        ({"N": 0, "couplings": (), "fields": (), "receiver_sites": (1,)}, "N must be positive"),
+        ({"fields": (0.0,) * 3}, "expected 4 fields"),
+        ({"sender_sites": (), "receiver_sites": ()}, "nonempty and equal-sized"),
+        ({"receiver_sites": (3, 4)}, "nonempty and equal-sized"),
+        ({"receiver_sites": (3,)}, "receiver block must be sites 4..4"),
+    ],
+    ids=["no-sites", "field-count", "empty-blocks", "unequal-blocks", "receiver-sites"],
+)
+def test_chain_spec_rejects_bad_layouts(changes, message):
+    uniform4 = dict(N=4, couplings=(1.0,) * 3, fields=(0.0,) * 4, sender_sites=(1,),
+                    receiver_sites=(4,), J0=1.0)
+    with pytest.raises(ValueError, match=message):
+        ChainSpec(**{**uniform4, **changes})
+
+
+def test_weak_coupling_rejects_a_negative_wire():
+    with pytest.raises(ValueError, match="wire length"):
+        ChainSpec.weak_coupling(-1, 3, J0=0.01)
+
+
+def test_resonance_needs_a_cluster_with_a_splitting():
+    # A long uniform chain spreads every level over the wire: none carries block weight.
+    with pytest.raises(ResonanceError, match="block-weight threshold"):
+        resonance_report(ChainSpec.uniform(101, n=3))
+    # A strong field on site 1 localises one level there, alone above the threshold.
+    pinned = {**ChainSpec.uniform(101, n=3).to_dict(), "fields": [50.0] + [0.0] * 100}
+    with pytest.raises(ResonanceError, match="single level"):
+        resonance_report(ChainSpec.from_dict(pinned))
 
 
 def test_resonance_rejects_unsupported_blocks():

@@ -264,7 +264,7 @@ def test_independent_table(tmp_path):
             "R_f": fidelity.product_ratio_vs_amplitude(f, n),
             "R_F": fidelity.product_ratio_vs_fidelity(stats.mean, n) if f > 0 else 1.0,
             "variance_full": stats.variance,
-            "variance_product": fidelity.product_state_variance(one, n),
+            "variance_product": fidelity.product_state_stats(one, n).variance,
             "cv": stats.cv,
         }
         for name, value in scalar.items():
@@ -298,11 +298,37 @@ def test_independent_builds_no_maps(tmp_path, monkeypatch):
 def test_independent_channel_count_error_names_the_option(tmp_path, capsys):
     """independent builds no map, so its range error speaks of --n-list, not of a map's size."""
     out = tmp_path / "ind.csv"
-    assert run(["independent", "--n-list", "1,7", "--grid", 2, "--out", out]) == 2
+    assert run(["independent", "--n-list", "1,256", "--grid", 2, "--out", out]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "--n-list" in err
     assert "map" not in err
     assert not out.exists()
+
+
+def test_independent_reaches_the_float_range_of_its_closed_forms(tmp_path):
+    out = tmp_path / "ind.csv"
+    assert run(["independent", "--n-list", "1,255", "--grid", 101, "--out", out]) == 0
+    header, *lines = out.read_text().splitlines()
+    table = dict(zip(header.split(","), np.array([[float(x) for x in ln.split(",")]
+                                                  for ln in lines]).T))
+    assert len(lines) == 2 * 101
+    assert all(np.all(np.isfinite(column)) for column in table.values())
+    assert np.array_equal(table["R_F"], table["R_f"])
+    assert set(table["n"]) == {1.0, 255.0}
+
+
+def test_independent_writes_the_amplitude_ratio_as_R_F(tmp_path):
+    """F_n fixes the real amplitude f, so the ratio at fixed F_n is the ratio at f, bit for bit."""
+    out = tmp_path / "ind.json"
+    assert run(["independent", "--n-list", "1,2,3,4,5,6", "--grid", 501, "--format", "json",
+                "--out", out]) == 0
+    data = json.loads(out.read_text())
+    assert data["R_F"] == data["R_f"]
+    for n in range(1, 7):
+        rows = np.array(data["n"]) == n
+        f = np.array(data["f"])[rows]
+        ratio = fidelity.product_ratio_vs_amplitude(f, n)
+        assert np.array_equal(np.array(data["R_f"])[rows], ratio)
 
 
 def test_montecarlo_identity(tmp_path):
@@ -595,7 +621,7 @@ def test_block_sizes_out_of_range_exit_2_before_any_work(tmp_path, monkeypatch, 
     spec = ChainSpec.weak_coupling(2, big, 0.01).to_json()
     out = tmp_path / "out"
     for argv in (
-        ["independent", "--n-list", f"1,{big}", "--grid", 2],
+        ["independent", "--n-list", "1,256", "--grid", 2],
         ["independent", "--n-list", "0,1", "--grid", 2],
         ["montecarlo", "--identity", "--n", big, "--seed", 1, "--samples", 1],
         ["montecarlo", "--identity", "--n", 0, "--seed", 1, "--samples", 1],
@@ -607,6 +633,63 @@ def test_block_sizes_out_of_range_exit_2_before_any_work(tmp_path, monkeypatch, 
         assert run([*argv, "--out", out]) == 2
         assert capsys.readouterr().err.startswith("error:")
         assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, config",
+    [
+        (["scan", "--tmax", 5, "--grid", 3], {}),
+        (["scan", "--spec", "WEAK15", "--engineer", "2", "--tmax", 5, "--grid", 3], {}),
+        (["scan", "--spec", "WEAK15", "--engineer", "a,b", "--tmax", 5, "--grid", 3], {}),
+        (["make-spec", "--n", 2], {}),
+        (["make-spec", "--N", 6], {}),
+        (["scan", "--spec", ChainSpec.uniform(6, n=2).to_json()], {}),
+        (["scan", "--spec", "WEAK15", "--tmax", 5, "--grid", 0], {}),
+        (["independent", "--grid", 1], {}),
+        (["independent", "--n-list", "1,x", "--grid", 2], {}),
+        (["independent", "--n-list", "", "--grid", 2], {}),
+        (["independent", "--n-list", " , ", "--grid", 2], {}),
+        (["montecarlo", "--identity", "--n", 1, "--seed", 1, "--samples", 0], {}),
+        (["montecarlo", "--n", 1, "--seed", 1, "--samples", 10], {}),
+        (["montecarlo", "--identity", "--amplitude", 0.5, "--n", 1, "--seed", 1,
+          "--samples", 10], {}),
+        (["montecarlo", "--identity", "--seed", 1, "--samples", 10], {}),
+        (["montecarlo", "--spec", "WEAK15", "--seed", 1, "--samples", 10], {}),
+        (["montecarlo", "--identity", "--n", 1, "--seed", 1], {"samples": None}),
+        (["make-spec", "--N", 6, "--n", 2], {"J0": None}),
+        (["montecarlo", "--identity", "--n", 1, "--seed", 1], {"samples": True}),
+        (["make-spec", "--N", 6, "--n", 2], {"J0": True}),
+    ],
+    ids=[
+        "scan-without-spec", "engineer-one-number", "engineer-not-numbers",
+        "make-spec-without-N", "make-spec-without-n", "scan-n2-without-tmax", "scan-grid-0",
+        "independent-grid-1", "n-list-unparsable", "n-list-empty", "n-list-blank",
+        "montecarlo-samples-0", "montecarlo-no-source", "montecarlo-two-sources",
+        "identity-without-n", "spec-without-t", "config-null-samples", "config-null-J0",
+        "config-true-samples", "config-true-J0",
+    ],
+)
+def test_bad_input_exits_2_and_writes_nothing(weak15, tmp_path, capsys, argv, config):
+    argv = [weak15 if a == "WEAK15" else a for a in argv]
+    if config:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        argv += ["--config", cfg]
+    out = tmp_path / "out"
+    assert run([*argv, "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and len(err.splitlines()) == 1, err
+    assert not out.exists()
+
+
+def test_console_entry_point_exits_with_the_command_status(tmp_path, monkeypatch):
+    out = tmp_path / "spec.json"
+    monkeypatch.setattr(sys, "argv", ["spintransfer", "make-spec", "--N", "6", "--n", "2",
+                                      "--out", str(out)])
+    with pytest.raises(SystemExit) as exc:
+        cli.console_main()
+    assert exc.value.code == 0
+    assert ChainSpec.from_json(out.read_text()).N == 6
 
 
 def test_montecarlo_chain_length_cap_applies_only_with_anisotropy(tmp_path, capsys):

@@ -185,6 +185,44 @@ def test_independent_channels_map_needs_a_channel(n):
         independent_channels_map(0.5, n)
 
 
+@pytest.mark.parametrize(
+    "d, elements, message",
+    [
+        (2, np.eye(2), "expected a 4 x 4 matrix"),
+        (2, np.eye(16), "expected a 4 x 4 matrix"),
+        (0, np.eye(1), "expected a 0 x 0 matrix"),
+        (1, [[np.nan]], "finite"),
+        (2, np.where(np.eye(4) == 1, np.inf, 0.0), "finite"),
+    ],
+    ids=["too-small", "too-large", "no-dimension", "nan", "inf"],
+)
+def test_map_elements_are_checked(d, elements, message):
+    with pytest.raises(ValueError, match=message):
+        DynamicalMap(d, elements)
+
+
+def test_two_qubit_map_checks_the_matrix_size():
+    F = chain_transition_matrix(ChainSpec.uniform(6, n=2), 1.0)
+    with pytest.raises(ValueError, match="does not match N=7"):
+        two_qubit_map(F, 7)
+    with pytest.raises(ValueError, match="at least 4 sites"):
+        two_qubit_map(np.eye(3, dtype=complex), 3)
+
+
+def test_evaluator_rejects_states_of_another_dimension():
+    evaluate = fidelity_evaluator(independent_channels_map(0.5, 2))
+    for dim in (2, 8):
+        with pytest.raises(ValueError, match="states must have dimension 4"):
+            evaluate(np.eye(dim)[:1])
+
+
+def test_map_from_evolution_rejects_a_block_the_spec_does_not_have():
+    for spec in (ChainSpec.uniform(6, n=2), ChainSpec.from_dict(
+            {**ChainSpec.uniform(6, n=2).to_dict(), "delta": 0.3})):
+        with pytest.raises(ValueError, match="block size mismatch"):
+            map_from_evolution(spec, 1, 1.0)
+
+
 def test_validate_cptp_reports():
     for m in (identity_map(4), classical_transfer_map(8)):
         rep = validate_cptp(m)

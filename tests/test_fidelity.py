@@ -34,7 +34,7 @@ from spintransfer.fidelity import (
     independent_channels_stats,
     product_ratio_vs_amplitude,
     product_ratio_vs_fidelity,
-    product_state_variance,
+    product_state_stats,
     second_moment_from_map,
     stats_from_map,
 )
@@ -300,12 +300,44 @@ def test_fidelity_inversion_round_trip():
     assert product_ratio_vs_fidelity(F, n) == pytest.approx(direct, abs=1e-12)
 
 
+def test_channel_count_bound_is_the_float_range():
+    """d(d+1)(d+2)(d+3), d = 2^n, is a finite float up to n = 255 and overflows at 256."""
+    assert fidelity.MAX_CHANNELS == 255
+    d = 2.0**255
+    assert math.isfinite(d * (d + 1) * (d + 2) * (d + 3))
+    with pytest.raises(OverflowError):
+        float(2**256 * (2**256 + 1) * (2**256 + 2) * (2**256 + 3))
+    stats = independent_channels_stats(np.linspace(0.0, 1.0, 5), 255)
+    for field in ("mean", "second_moment", "variance", "cv"):
+        assert np.all(np.isfinite(getattr(stats, field))), field
+
+
+@pytest.mark.parametrize("n", [0, -1, 256, 400])
+def test_parallel_channel_functions_check_the_channel_count(n):
+    f = np.array([0.0, 0.5, 1.0])
+    one = independent_channels_stats(f, 1)
+    for function in (
+        lambda: independent_channels_fidelity(f, n),
+        lambda: independent_channels_stats(f, n),
+        lambda: product_ratio_vs_amplitude(f, n),
+        lambda: product_state_stats(one, n),
+    ):
+        with pytest.raises(ValueError, match="channel count must be 1 to 255"):
+            function()
+
+
+@pytest.mark.parametrize("F", [0.25, 0.1, 1.5, math.nan])
+def test_fidelity_inversion_rejects_fidelities_outside_its_range(F):
+    with pytest.raises(ValueError, match=r"fidelity must lie in \(1/4, 1\]"):
+        amplitude_for_fidelity(F, 2)
+
+
 def test_product_state_variance():
     stats = FidelityStats.from_moments(0.8, 0.64)  # deterministic fidelity
-    assert product_state_variance(stats, 4) == pytest.approx(0.0, abs=1e-12)
+    assert product_state_stats(stats, 4).variance == pytest.approx(0.0, abs=1e-12)
     one = stats_from_map(one_qubit_map(0.8))
-    assert product_state_variance(one, 1) == pytest.approx(one.variance, abs=1e-15)
-    assert product_state_variance(one, 3) >= 0.0
+    assert product_state_stats(one, 1).variance == pytest.approx(one.variance, abs=1e-15)
+    assert product_state_stats(one, 3).variance >= 0.0
 
 
 @settings(derandomize=True, deadline=None, max_examples=60)
@@ -339,7 +371,7 @@ def test_array_forms_match_scalar_calls_and_check_every_entry(moduli, phase, n, 
         "R_f": (lambda x: product_ratio_vs_amplitude(x, n), np.array(moduli)),
         "R_F": (lambda x: product_ratio_vs_fidelity(x, n), F[F > 2.0**-n]),
         "variance_product": (
-            lambda x: product_state_variance(independent_channels_stats(x, 1), n), f
+            lambda x: product_state_stats(independent_channels_stats(x, 1), n).variance, f
         ),
         **{
             field: (lambda x, field=field: getattr(independent_channels_stats(x, n), field), f)

@@ -163,6 +163,14 @@ def test_minor_rejects_bad_indices():
         minor(np.ones((2, 3)), [0], [0])  # the matrix itself must be square
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_minor_rejects_a_non_finite_matrix(bad):
+    a = np.eye(3)
+    a[2, 0] = bad
+    with pytest.raises(ValueError, match="finite"):
+        minor(a, [0], [1])  # even where the kept entries are finite
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8])
 def test_exactly_singular_one_plus_block_has_zero_determinant(n):
     """det(I + B) for B = -I, and for B = -P with P a random rank-r projector, so I + B has rank n - r."""

@@ -297,6 +297,28 @@ def test_non_finite_time_is_rejected(t):
         receiver_amplitude_tensor(spec, 2, t)
 
 
+def test_state_length_must_match_its_dimension():
+    with pytest.raises(ValueError, match="expected 3 amplitudes"):
+        PureState(3, np.array([1.0, 0.0]))
+    with pytest.raises(ValueError, match="expected 2 amplitudes"):
+        PureState(2, np.eye(2))
+
+
+def test_sampling_needs_a_sample():
+    evaluator = fidelity_evaluator(one_qubit_map(0.5))
+    for samples in (0, -3):
+        with pytest.raises(ValueError, match="at least one sample"):
+            sample_fidelity_values(evaluator, 2, samples, seed=1)
+
+
+def test_receiver_tensor_rejects_a_block_the_spec_does_not_have():
+    """map_from_evolution checks the block size first, so only a direct call reaches this check."""
+    spec = _with_delta(ChainSpec.uniform(6, n=2), 0.3)
+    for n in (1, 3):
+        with pytest.raises(ValueError, match="block size mismatch"):
+            receiver_amplitude_tensor(spec, n, 1.0)
+
+
 def test_vacuum_transfer_is_perfect():
     spec = ChainSpec.uniform(6, n=2)
     vac = _unit_state(4, 0)
@@ -383,11 +405,11 @@ def test_product_sampler_mean_factorises():
 
 def test_product_sampler_variance_matches_formula():
     from spintransfer.dynmap import independent_channels_map
-    from spintransfer.fidelity import product_state_variance, stats_from_map
+    from spintransfer.fidelity import product_state_stats, stats_from_map
 
     n, f = 3, 0.9
     stats1 = stats_from_map(one_qubit_map(f))
-    expected = product_state_variance(stats1, n)
+    expected = product_state_stats(stats1, n).variance
     values = sample_fidelity_values(
         fidelity_evaluator(independent_channels_map(f, n)), 2**n, 100_000, seed=8,
         product_of=n,

@@ -23,6 +23,21 @@ ENG_18 = ChainSpec.weak_coupling(
 )
 
 
+@pytest.mark.parametrize("spec", [WEAK_15, ChainSpec.uniform(6, n=2)], ids=["weak15", "uniform6-n2"])
+def test_a_scan_runs_one_resonance_analysis(spec, monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return resonance_report(*args, **kwargs)
+
+    monkeypatch.setattr(protocol, "resonance_report", counted)
+    pieces = list(scan_chunks(spec, spec.block_size, np.linspace(0.0, 50.0, 2 * _SCAN_CHUNK + 3)))
+    assert len(pieces) == 3
+    assert len(calls) == 1
+    assert (pieces[0].envelope is None) == (spec.block_size == 2)
+
+
 def test_reduced_amplitude_accuracy_over_transfer_window():
     # Truncating to the quasi-degenerate cluster loses only the O(J0) weight
     # that leaks onto the wire levels.
