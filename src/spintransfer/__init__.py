@@ -15,7 +15,7 @@ from .errors import (
     ResonanceError,
     SolverError,
 )
-from .fidelity import FidelityStats, avg_fidelity_from_amplitudes, stats_from_map
+from .fidelity import FidelityStats, stats_from_map
 from .oracle import McResult, haar_sample_fidelity
 from .protocol import fidelity_scan, find_optimal_time, scan_values
 
@@ -29,7 +29,6 @@ __all__ = [
     "McResult",
     "ResonanceError",
     "SolverError",
-    "avg_fidelity_from_amplitudes",
     "chain_transition_matrix",
     "fidelity_evaluator",
     "fidelity_scan",

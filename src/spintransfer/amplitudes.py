@@ -48,6 +48,8 @@ class TransferAmplitudeSet:
 
 def transition_matrix(decomp: EigenDecomposition, t: float) -> np.ndarray:
     """Propagator matrix F(t) from a single-particle eigendecomposition, F[i-1, j-1] = f_i^j."""
+    if not math.isfinite(t):
+        raise ValueError(f"evolution time must be finite, got {t}")
     phases = np.exp(-1j * decomp.eigenvalues * t)
     return (decomp.eigenvectors * phases) @ decomp.eigenvectors.T
 
@@ -93,7 +95,8 @@ def transfer_block_series(decomp: EigenDecomposition, n: int, times: np.ndarray)
     receiver site at the same position.  Only these n x n entries of F(t) are
     ever formed, so grids of a few million points stay cheap.  The matrix
     axes come first, as `linalg.dets` takes them, so each entry's series is
-    one contiguous run of T values.
+    one contiguous run of T values.  A time that is not finite raises
+    ValueError.
 
     The phases exp(-i w_k t) are factorised.  On a uniform grid of T points
     with step D, point m i + j (0 <= j < m) is t[m i] + j D, so its phase is a
@@ -116,6 +119,8 @@ def transfer_block_series(decomp: EigenDecomposition, n: int, times: np.ndarray)
     """
     N = decomp.size
     times = np.asarray(times, dtype=float)
+    if not np.isfinite(times).all():
+        raise ValueError(f"evolution time must be finite, got {times[~np.isfinite(times)][0]}")
     T = times.size
     m, step = 1, 0.0
     if T > 1:

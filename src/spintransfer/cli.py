@@ -45,7 +45,7 @@ from .fidelity import (
     stats_from_map,
 )
 from .oracle import McResult, haar_sample_fidelity, sample_fidelity_values
-from .protocol import FidelityScan, scan_chunks
+from .protocol import GRID_STEP, FidelityScan, scan_chunks
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -262,7 +262,7 @@ def cmd_scan(config: argparse.Namespace) -> int:
         if n not in (3, 4):
             raise ConfigError("--tmax is required unless the block has 3 or 4 sites")
         tmax = 1.2 * resonance_report(spec, n).transfer_time
-    points = config.grid if config.grid is not None else int(np.ceil(tmax / 0.2)) + 1
+    points = config.grid if config.grid is not None else int(np.ceil(tmax / GRID_STEP)) + 1
     if points < 1:
         raise ConfigError("--grid must be positive")
     if points * 2**n > MAX_SCAN_CELLS:
@@ -449,7 +449,7 @@ _OPTIONS = {
     "delta": _Option(float, 0.0, "zz-anisotropy (exact engine only)"),
     "engineer": _Option(str, None, "K,S: retune block level S onto wire level K"),
     "tmax": _Option(float, None, "scan window upper edge (units 1/J); default 1.2 tau"),
-    "grid": _Option(int, None, "number of grid points (scan: step 0.2, independent: 201)"),
+    "grid": _Option(int, None, f"number of grid points (scan: step {GRID_STEP}, independent: 201)"),
     "n_list": _Option(str, "1,2,3,4", "comma-separated channel counts"),
     "t": _Option(float, None, "evolution time of the spec map"),
     "amplitude": _Option(float, None, "single-qubit amplitude for parallel channels"),

@@ -47,8 +47,9 @@ VALIDATION_TOL = 1e-8
 class DynamicalMap:
     """Dense dynamical map of a d-dimensional block.
 
-    `kraus` is the tensor T[P, i, x] the map is the Gram matrix of, held
-    read-only; it is None only for a map given by its elements alone.
+    `elements` and `kraus` are held as read-only views; `kraus` is the tensor
+    T[P, i, x] the map is the Gram matrix of, None only for a map given by its
+    elements alone.
     """
 
     d: int
@@ -56,7 +57,8 @@ class DynamicalMap:
     kraus: np.ndarray | None = None
 
     def __post_init__(self):
-        el = np.ascontiguousarray(np.asarray(self.elements, dtype=complex))
+        el = np.ascontiguousarray(np.asarray(self.elements, dtype=complex)).view()
+        el.flags.writeable = False
         object.__setattr__(self, "elements", el)
         if self.d < 1 or el.shape != (self.d**2, self.d**2):
             raise ValueError(f"expected a {self.d ** 2} x {self.d ** 2} matrix, got {el.shape}")

@@ -16,7 +16,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .amplitudes import TransferAmplitudeSet
 from .dynmap import VALIDATION_TOL, DynamicalMap, one_qubit_tensors, trace_deviation
 from .dynmap import _checked_amplitudes
 from .errors import MapValidationError
@@ -141,31 +140,21 @@ class TransferFidelityTerms(NamedTuple):
     quantum: float
 
 
-def fidelity_terms(amplitudes, d: int, total_amplitude=None) -> TransferFidelityTerms:
+def fidelity_terms(amplitudes, d: int, total_amplitude) -> TransferFidelityTerms:
     """Decomposed average fidelity from the amplitudes f_S^S of every nonempty subset S.
 
     Works elementwise, so each amplitude may be a number or a series over a
     time grid.  `total_amplitude` is 1 + sum_S f_S^S, which a chain gives as
-    det(I + B) of its sender -> receiver block; it is summed from `amplitudes`
-    when omitted, and with it alone (no amplitudes) only `total` is meaningful.
+    det(I + B) of its sender -> receiver block; with it alone (no amplitudes)
+    only `total` is meaningful.
     random_guess + classical reach the entanglement-free benchmark 2/(d+1)
     when every transition probability is one; the quantum piece carries the
     coherences and can add up to (d-1)/(d+1) on top.
     """
-    amplitudes = list(amplitudes)
-    if total_amplitude is None:
-        total_amplitude = 1.0 + sum(amplitudes)
     total = 1.0 / (d + 1) + np.abs(total_amplitude) ** 2 / (d * (d + 1))
     random_guess = 1.0 / d
     classical = sum(np.abs(f) ** 2 for f in amplitudes) / (d * (d + 1))
     return TransferFidelityTerms(total, random_guess, classical, total - (random_guess + classical))
-
-
-def avg_fidelity_from_amplitudes(amps: TransferAmplitudeSet, d: int) -> float:
-    """Average transfer fidelity of an n-site block: 1/(d+1) + |1 + sum_S f_S^S|^2 / (d(d+1))."""
-    if d != 2**amps.block_size:
-        raise ValueError(f"dimension {d} does not match block size {amps.block_size}")
-    return fidelity_terms(amps.entries.values(), d).total
 
 
 def avg_fidelity_two_qubit(f1: complex, f2: complex, f12: complex) -> float:
@@ -235,6 +224,7 @@ def product_ratio_vs_amplitude(f, n: int):
 
 def amplitude_for_fidelity(F: float, n: int) -> float:
     """Invert the independent-channel average fidelity for the real amplitude producing it."""
+    _check_channel_count(n)
     d = 2**n
     if not 1.0 / d < F <= 1.0 + 1e-12:
         raise ValueError(f"fidelity must lie in (1/{d}, 1], got {F}")
@@ -247,6 +237,7 @@ def product_ratio_vs_fidelity(F, n: int):
     Tends to F^(-1/3) for many channels; maximal at the entanglement-free
     benchmark F = 2/(d+1).
     """
+    _check_channel_count(n)
     F = np.asarray(F, dtype=float)
     d = 2**n
     if not np.all((1.0 / d < F) & (F <= 1.0 + 1e-12)):

@@ -192,7 +192,10 @@ def _reduction(spec: ChainSpec, n: int):
             rows = sector_rank(np.concatenate([env[e], rec[x] + m], axis=1), spec.N)
             env_col[rows] = env_start[k - j] + e
             lab_col[rows] = lab_start[j] + x
-        tables.append((sector_rank(sector_positions(n, k), spec.N), env_col, lab_col))
+        launched = sector_rank(sector_positions(n, k), spec.N)
+        for array in (launched, env_col, lab_col):
+            array.flags.writeable = False
+        tables.append((launched, env_col, lab_col))
     return tables, int(env_start[-1])
 
 

@@ -10,7 +10,7 @@ fast scale) followed by a local golden-section refinement.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterator
 
 import numpy as np
@@ -26,6 +26,9 @@ from .errors import ResonanceError
 from .fidelity import fidelity_terms
 
 _SCAN_CHUNK = 1 << 14
+# Default spacing of a scan or search grid, in the time unit of the couplings: fine
+# enough to resolve the fast block dynamics whatever the couplings' size.
+GRID_STEP = 0.2
 _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 
 
@@ -43,7 +46,6 @@ def transfer_envelope(spec: ChainSpec, n: int) -> Callable[[np.ndarray], np.ndar
 class FidelityScan:
     """Average transfer fidelity and its ingredients over a time grid."""
 
-    block_size: int
     times: np.ndarray
     fidelity: np.ndarray
     classical_term: np.ndarray  # random guess + transition probabilities
@@ -93,7 +95,6 @@ def scan_chunks(spec: ChainSpec, n: int, t_grid) -> Iterator[FidelityScan]:
         amplitudes = subset_minor_series(block)
         terms = fidelity_terms(amplitudes.values(), 2**n, total_transfer_amplitude(block))
         yield FidelityScan(
-            block_size=n,
             times=chunk,
             fidelity=terms.total,
             classical_term=terms.random_guess + terms.classical,
@@ -122,9 +123,7 @@ def fidelity_scan(spec: ChainSpec, n: int, t_grid) -> FidelityScan:
         del columns["envelope"]
     del piece
     joined = _joined(columns)
-    return FidelityScan(
-        block_size=n, envelope=joined.pop("envelope", None), amplitudes=_joined(series), **joined
-    )
+    return FidelityScan(envelope=joined.pop("envelope", None), amplitudes=_joined(series), **joined)
 
 
 def _joined(pieces: dict) -> dict:
@@ -138,25 +137,22 @@ class ProtocolResult:
 
     optimal_time: float
     fidelity_at_optimum: float
-    envelope_period: float | None
     cluster: ResonanceReport | None
     times: np.ndarray
     fidelity: np.ndarray
-    readout_times: np.ndarray = field(default_factory=lambda: np.empty(0))
+    readout_times: np.ndarray
 
 
 def find_optimal_time(
     spec: ChainSpec,
     n: int,
     window: tuple[float, float] | None = None,
-    coarse_points: int | None = None,
 ) -> ProtocolResult:
     """Locate the best transfer time by a coarse scan plus golden-section refinement.
 
     Without an explicit window the scan covers [0, 1.2 tau].  The coarse grid
-    must resolve the fast block dynamics; by default it has
-    ceil((hi - lo) / 0.2) + 1 points, a spacing of at most 0.2 in the time
-    unit of the couplings, whatever their size.
+    must resolve the fast block dynamics; it has ceil((hi - lo) / GRID_STEP) + 1
+    points, a spacing of at most GRID_STEP.
     """
     try:
         report = resonance_report(spec, n)
@@ -171,14 +167,11 @@ def find_optimal_time(
         raise ValueError(f"search window ({lo}, {hi}) is not finite")
     if not hi > lo:
         raise ValueError(f"empty search window ({lo}, {hi})")
-    if coarse_points is None:
-        coarse_points = int(np.ceil((hi - lo) / 0.2)) + 1
-    coarse_points = max(coarse_points, 2)
 
     def objective(t: float) -> float:
         return float(scan_values(spec, n, np.array([t]))[0])
 
-    times = np.linspace(lo, hi, coarse_points)
+    times = np.linspace(lo, hi, int(np.ceil((hi - lo) / GRID_STEP)) + 1)
     values = scan_values(spec, n, times)
     best = int(np.argmax(values))
     spacing = times[1] - times[0]
@@ -213,7 +206,6 @@ def find_optimal_time(
     return ProtocolResult(
         optimal_time=float(t_best),
         fidelity_at_optimum=float(f_best),
-        envelope_period=None if report is None else report.transfer_time,
         cluster=report,
         times=times,
         fidelity=values,

@@ -27,10 +27,11 @@ from spintransfer.amplitudes import (
 )
 from spintransfer.basis import block_index, excitation_sector, partner_sites, subsets_by_excitation
 from spintransfer.chain import ChainSpec, spectral
+from spintransfer.dynmap import map_from_evolution
 from spintransfer.errors import FreeFermionError
 from spintransfer.linalg import EigenDecomposition, compound_matrix, minor
 from spintransfer.oracle import PureState, evolve_block
-from spintransfer.protocol import scan_values
+from spintransfer.protocol import scan_chunks, scan_values
 
 
 def test_zero_time_is_identity():
@@ -147,6 +148,22 @@ def test_series_matches_per_time_route():
         amps = transfer_amplitudes(transition_matrix(dec, t), 2)
         for S, value in amps.entries.items():
             assert series[S][i] == pytest.approx(value, abs=1e-12)
+
+
+@pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf])
+def test_non_finite_time_is_rejected(t):
+    spec = ChainSpec.uniform(6, n=2)
+    grid = np.array([0.0, 1.0, t])
+    calls = [
+        lambda: chain_transition_matrix(spec, t),
+        lambda: transfer_amplitude_series(spectral(spec), 2, grid),
+        lambda: scan_values(spec, 2, grid),
+        lambda: next(scan_chunks(spec, 2, grid)),
+        lambda: map_from_evolution(spec, 2, t),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="evolution time must be finite"):
+            call()
 
 
 def test_anisotropic_chain_rejected():

@@ -287,14 +287,15 @@ def test_evaluator_matches_direct_application():
 
 def test_amplitude_route_equals_map_route():
     from spintransfer.amplitudes import transfer_amplitudes
-    from spintransfer.fidelity import avg_fidelity_from_amplitudes
+    from spintransfer.fidelity import fidelity_terms
 
     rng = np.random.default_rng(55)
     for N, n in ((6, 1), (8, 2), (8, 3), (10, 3)):
         spec = ChainSpec.uniform(N, n=n)
         for t in rng.uniform(0, 40, size=3):
             amps = transfer_amplitudes(chain_transition_matrix(spec, t), n)
-            via_amp = avg_fidelity_from_amplitudes(amps, 2**n)
+            values = amps.entries.values()
+            via_amp = fidelity_terms(values, 2**n, 1 + sum(values)).total
             via_map = avg_fidelity_from_map(map_from_evolution(spec, n, t))
             assert abs(via_amp - via_map) <= 1e-9
 
@@ -546,6 +547,15 @@ def test_tensor_product_with_a_non_cp_factor_raises():
             tensor_product(a, b)
 
 
+def test_map_elements_are_read_only_and_the_callers_array_is_not_frozen():
+    m = identity_map(2)
+    with pytest.raises(ValueError, match="read-only"):
+        m.elements[0, 0] = 5
+    elements = np.eye(4, dtype=complex)
+    DynamicalMap(2, elements)
+    assert elements.flags.writeable
+
+
 def test_element_only_maps_have_no_evaluator_and_kept_tensors_are_read_only():
     with pytest.raises(ValueError, match="Kraus tensor"):
         fidelity_evaluator(_transpose_map())
@@ -691,7 +701,6 @@ def test_array_holding_dataclasses_compare_and_hash_by_identity():
         lambda: EigenDecomposition(eigenvalues=np.zeros(2), eigenvectors=np.eye(2)),
         lambda: PureState(2, np.array([1.0, 0.0])),
         lambda: FidelityScan(
-            block_size=1,
             times=np.zeros(2),
             fidelity=np.ones(2),
             classical_term=np.ones(2),
@@ -702,10 +711,10 @@ def test_array_holding_dataclasses_compare_and_hash_by_identity():
         lambda: ProtocolResult(
             optimal_time=1.0,
             fidelity_at_optimum=1.0,
-            envelope_period=None,
             cluster=None,
             times=np.zeros(2),
             fidelity=np.ones(2),
+            readout_times=np.zeros(1),
         ),
         lambda: FidelityStats.from_moments(np.full(2, 0.5), np.full(2, 0.3)),
     ]

@@ -26,7 +26,6 @@ from spintransfer.errors import MapValidationError
 from spintransfer.fidelity import (
     FidelityStats,
     amplitude_for_fidelity,
-    avg_fidelity_from_amplitudes,
     avg_fidelity_from_map,
     avg_fidelity_two_qubit,
     fidelity_terms,
@@ -174,19 +173,23 @@ def _uniform_amplitudes(n, value):
     )
 
 
+def _amplitude_route(amps, d):
+    values = amps.entries.values()
+    return fidelity_terms(values, d, 1 + sum(values)).total
+
+
 def test_amplitude_formula_limits():
     for n in (1, 2, 3):
         d = 2**n
         perfect = _uniform_amplitudes(n, 1.0)
-        assert avg_fidelity_from_amplitudes(perfect, d) == pytest.approx(1.0, abs=1e-12)
+        assert _amplitude_route(perfect, d) == pytest.approx(1.0, abs=1e-12)
         nothing = _uniform_amplitudes(n, 0.0)
-        assert avg_fidelity_from_amplitudes(nothing, d) == pytest.approx(1.0 / d, abs=1e-12)
-    with pytest.raises(ValueError):
-        avg_fidelity_from_amplitudes(_uniform_amplitudes(2, 1.0), 8)  # wrong dimension
+        assert _amplitude_route(nothing, d) == pytest.approx(1.0 / d, abs=1e-12)
 
 
 def test_amplitude_decomposition_terms():
-    terms = fidelity_terms(_uniform_amplitudes(3, 1.0).entries.values(), 8)
+    values = _uniform_amplitudes(3, 1.0).entries.values()
+    terms = fidelity_terms(values, 8, 1 + sum(values))
     # With all transition probabilities saturated the incoherent part reaches
     # the classical benchmark and the coherent part tops up to (d-1)/(d+1).
     assert terms.random_guess + terms.classical == pytest.approx(2.0 / 9.0, abs=1e-12)
@@ -202,7 +205,7 @@ def test_two_qubit_formula_cases():
         f = rng.uniform(0, 1)
         amps = TransferAmplitudeSet(block_size=2, entries={(1,): f, (2,): f, (1, 2): f**2})
         assert avg_fidelity_two_qubit(f, f, f**2) == pytest.approx(
-            avg_fidelity_from_amplitudes(amps, 4), abs=1e-12
+            _amplitude_route(amps, 4), abs=1e-12
         )
 
 
@@ -215,7 +218,7 @@ def test_two_qubit_formula_matches_chain_routes():
         closed = avg_fidelity_two_qubit(
             amps.entries[(1,)], amps.entries[(2,)], amps.entries[(1, 2)]
         )
-        assert closed == pytest.approx(avg_fidelity_from_amplitudes(amps, 4), abs=1e-12)
+        assert closed == pytest.approx(_amplitude_route(amps, 4), abs=1e-12)
 
 
 def test_independent_channels_values():
@@ -312,7 +315,7 @@ def test_channel_count_bound_is_the_float_range():
         assert np.all(np.isfinite(getattr(stats, field))), field
 
 
-@pytest.mark.parametrize("n", [0, -1, 256, 400])
+@pytest.mark.parametrize("n", [0, -1, 256, 400, 2000])
 def test_parallel_channel_functions_check_the_channel_count(n):
     f = np.array([0.0, 0.5, 1.0])
     one = independent_channels_stats(f, 1)
@@ -321,6 +324,8 @@ def test_parallel_channel_functions_check_the_channel_count(n):
         lambda: independent_channels_stats(f, n),
         lambda: product_ratio_vs_amplitude(f, n),
         lambda: product_state_stats(one, n),
+        lambda: amplitude_for_fidelity(0.9, n),  # checked before 2^n is formed
+        lambda: product_ratio_vs_fidelity(0.9, n),
     ):
         with pytest.raises(ValueError, match="channel count must be 1 to 255"):
             function()

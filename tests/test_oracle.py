@@ -72,6 +72,14 @@ def test_cached_sector_arrays_are_read_only():
             array[0] = 0
 
 
+def test_cached_reduction_arrays_are_read_only():
+    tables, _ = _reduction(ChainSpec.uniform(7, n=3), 3)
+    assert len(tables) == 4
+    for arrays in tables:
+        for array in arrays:
+            assert not array.flags.writeable
+
+
 def test_warm_tensor_makes_no_complex_copy_of_the_eigenvectors():
     spec = ChainSpec.uniform(14, n=4)
     receiver_amplitude_tensor(spec, 4, 2.5)  # fills the sector caches

@@ -7,7 +7,7 @@ from spintransfer import protocol
 from spintransfer.amplitudes import transfer_amplitudes, transition_matrix
 from spintransfer.chain import ChainSpec, engineered_sender_coupling, resonance_report, spectral
 from spintransfer.errors import FreeFermionError
-from spintransfer.fidelity import avg_fidelity_from_amplitudes
+from spintransfer.fidelity import fidelity_terms
 from spintransfer.protocol import (
     _SCAN_CHUNK,
     fidelity_scan,
@@ -67,8 +67,9 @@ def test_scan_matches_per_time_route():
     dec = spectral(spec)
     for i, t in enumerate(times):
         amps = transfer_amplitudes(transition_matrix(dec, t), 2)
+        values = amps.entries.values()
         assert scan.fidelity[i] == pytest.approx(
-            avg_fidelity_from_amplitudes(amps, 4), abs=1e-12
+            fidelity_terms(values, 4, 1 + sum(values)).total, abs=1e-12
         )
         for S, value in amps.entries.items():
             assert scan.amplitudes[S][i] == pytest.approx(value, abs=1e-12)
@@ -161,14 +162,16 @@ def test_transfer_time_scales_with_coupling_squared():
     assert taus[0.01] / taus[0.02] == pytest.approx(4.0, rel=0.2)
 
 
-def test_weak_coupling_transfer_quality_and_stability():
+def test_weak_coupling_transfer_quality_and_stability(monkeypatch):
     res = find_optimal_time(WEAK_15, 3)
     assert res.fidelity_at_optimum >= 0.99
-    assert res.envelope_period == pytest.approx(np.pi / res.cluster.delta_omega)
-    assert abs(res.optimal_time - res.envelope_period) <= 0.2 * res.envelope_period
+    tau = res.cluster.transfer_time
+    assert tau == pytest.approx(np.pi / res.cluster.delta_omega)
+    assert abs(res.optimal_time - tau) <= 0.2 * tau
     assert res.readout_times.size > 0
     # Halving the coarse spacing barely moves the optimum.
-    res2 = find_optimal_time(WEAK_15, 3, coarse_points=2 * res.times.size - 1)
+    monkeypatch.setattr(protocol, "GRID_STEP", protocol.GRID_STEP / 2)
+    res2 = find_optimal_time(WEAK_15, 3)
     assert abs(res.fidelity_at_optimum - res2.fidelity_at_optimum) < 1e-4
 
 
