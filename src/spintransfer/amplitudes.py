@@ -162,11 +162,10 @@ def total_transfer_amplitude(block: np.ndarray) -> np.ndarray:
 
     The subset sum is the principal-minor expansion of det(I + B), so the
     average fidelity needs one n x n determinant per time point, not 2^n - 1.
+    The identity enters through the determinant's diagonal shift, so the
+    block is not copied.
     """
-    shifted = block.copy()
-    for a in range(block.shape[0]):
-        shifted[a, a] += 1.0
-    return dets(shifted)
+    return dets(block, shift=1.0)
 
 
 def transfer_amplitude_series(

@@ -97,7 +97,7 @@ _EXPANSION_MAX = 6
 _EXPANSION_PLANS = tuple(_expansion_plan(k) for k in range(_EXPANSION_MAX + 1))
 
 
-def dets(stack: np.ndarray) -> np.ndarray:
+def dets(stack: np.ndarray, shift: float = 0.0) -> np.ndarray:
     """Determinant of every k x k matrix in a stack of shape (k, k, ...), matrix axes first.
 
     The only determinant kernel of the package.  For k <= 6 it is a
@@ -114,6 +114,14 @@ def dets(stack: np.ndarray) -> np.ndarray:
     `scan_values` at n = 7 took 138-144 ms per 65,536 points with LU against
     158-161 ms expanded; at k = 8 LU wins outright (34-42 against 54-62 ms).
 
+    A nonzero `shift` gives det(A + shift I) of every matrix A without
+    touching the stack, so det(I + B) is `dets(B, shift=1.0)`.  The
+    expansion reads each diagonal entry as one precomputed `a[r, r] + shift`
+    array, k series rather than a copy of the stack; LU takes one
+    (k, k, ...) copy with the shift on its diagonal.  Either way each sum
+    `a[r, r] + shift` is rounded once, as in a shifted copy, so the result
+    is bit-identical to the determinants of that copy.
+
     1 x 1 determinants are the entries themselves, and a 0 x 0 matrix has
     determinant 1.  A stack whose two leading axes differ raises ValueError.
     """
@@ -121,14 +129,23 @@ def dets(stack: np.ndarray) -> np.ndarray:
         raise ValueError(f"expected a stack of square matrices, matrix axes first, got shape {stack.shape}")
     k, batch = stack.shape[0], stack.shape[2:]
     if k == 0 or k > _EXPANSION_MAX:
+        if shift:
+            stack = stack.copy()
+            for r in range(k):
+                stack[r, r] += shift
         return np.linalg.det(np.moveaxis(stack, (0, 1), (-2, -1)))
     if k == 1:
-        return stack[0, 0].copy()
+        return stack[0, 0] + shift if shift else stack[0, 0].copy()
     a = stack.reshape(k, k, math.prod(batch))
-    minors = a[0]  # det A[0, {c}] for every column c
+    rows = a  # rows[r][c] is the series of entry (r, c)
+    if shift:
+        rows = [list(row) for row in a]
+        for r in range(k):
+            rows[r][r] = a[r, r] + shift
+    minors = rows[0]  # det A[0, {c}] for every column c
     term = np.empty(a.shape[2:], dtype=a.dtype)
     for r, level in enumerate(_EXPANSION_PLANS[k], start=1):
-        row = a[r]
+        row = rows[r]
         out = np.empty((len(level), *a.shape[2:]), dtype=a.dtype)
         for acc, ((c, j), *rest) in zip(out, level):
             np.multiply(row[c], minors[j], out=acc)

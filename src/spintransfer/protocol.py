@@ -4,7 +4,7 @@ The slow scale of a weak-coupling transfer is the second-order splitting
 delta_omega of the block-localised doublets, giving an envelope period
 tau = pi / delta_omega; on top of it the block-internal dynamics oscillates on
 the O(1/J) scale.  Searches therefore do a dense coarse scan (resolving the
-fast scale) followed by a local golden-section refinement.
+fast scale) followed by a golden-section refinement of its best lobes.
 """
 
 from __future__ import annotations
@@ -26,9 +26,13 @@ from .errors import ResonanceError
 from .fidelity import fidelity_terms
 
 _SCAN_CHUNK = 1 << 14
-# Default spacing of a scan or search grid, in the time unit of the couplings: fine
-# enough to resolve the fast block dynamics whatever the couplings' size.
+# Step of the CLI scan's default grid only, in the time unit of the couplings; the
+# search spaces its own grid by SEARCH_STEP.
 GRID_STEP = 0.2
+# Coarse spacing of find_optimal_time at max|w| <= 1; the spacing shrinks as 1 / max|w| above.
+SEARCH_STEP = 0.4
+# Coarse local maxima of find_optimal_time refined by golden section.
+_SEARCH_LOBES = 32
 _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 
 
@@ -151,8 +155,21 @@ def find_optimal_time(
     """Locate the best transfer time by a coarse scan plus golden-section refinement.
 
     Without an explicit window the scan covers [0, 1.2 tau].  The coarse grid
-    must resolve the fast block dynamics; it has ceil((hi - lo) / GRID_STEP) + 1
-    points, a spacing of at most GRID_STEP.
+    must resolve the fast block dynamics, whose fastest phase turns at the
+    largest single-particle frequency max|w| (a uniform field shifts every
+    frequency, so this is not the bandwidth).  It has ceil((hi - lo) / h) + 1
+    points, a spacing of at most h = SEARCH_STEP * min(1, 1 / max|w|).  The
+    returned `times`, `fidelity` and `readout_times` lie on that grid.
+
+    The 32 (_SEARCH_LOBES) best coarse local maxima, an edge point counting
+    when it is not below its one neighbour, are refined together by golden
+    section, each in its bracket [t - spacing, t + spacing] clipped to the
+    window: one `scan_values` call places both interior points of every
+    bracket, then each step makes one call on the new points of the brackets
+    still shrinking.  The best refined point wins unless the coarse maximum beats
+    it.  F* is then evaluated alone at t*, so it equals
+    `scan_values(spec, n, [t*])[0]` exactly: a batch of two or more points
+    may take the factorised-phase path and round differently.
     """
     try:
         report = resonance_report(spec, n)
@@ -168,44 +185,48 @@ def find_optimal_time(
     if not hi > lo:
         raise ValueError(f"empty search window ({lo}, {hi})")
 
-    def objective(t: float) -> float:
-        return float(scan_values(spec, n, np.array([t]))[0])
-
-    times = np.linspace(lo, hi, int(np.ceil((hi - lo) / GRID_STEP)) + 1)
+    step = SEARCH_STEP / max(1.0, float(np.max(np.abs(spectral(spec).eigenvalues))))
+    times = np.linspace(lo, hi, int(np.ceil((hi - lo) / step)) + 1)
     values = scan_values(spec, n, times)
-    best = int(np.argmax(values))
     spacing = times[1] - times[0]
 
-    a = max(lo, times[best] - spacing)
-    b = min(hi, times[best] + spacing)
+    padded = np.concatenate(([-np.inf], values, [-np.inf]))
+    peaks = np.flatnonzero((values >= padded[:-2]) & (values >= padded[2:]))
+    peaks = peaks[np.argsort(-values[peaks], kind="stable")[:_SEARCH_LOBES]]
+    a = np.maximum(lo, times[peaks] - spacing)
+    b = np.minimum(hi, times[peaks] + spacing)
     x1 = b - _GOLDEN * (b - a)
     x2 = a + _GOLDEN * (b - a)
-    f1, f2 = objective(x1), objective(x2)
-    # Stop at float resolution: once a new interior point is no longer strictly
-    # inside its part of the bracket, the bracket cannot shrink any further.
+    f1, f2 = np.split(scan_values(spec, n, np.concatenate((x1, x2))), 2)
+    active = np.ones(peaks.size, dtype=bool)
     while True:
-        if f1 < f2:
-            x = x1 + _GOLDEN * (b - x1)
-            if not x2 < x < b:
-                break
-            a, x1, f1 = x1, x2, f2
-            x2, f2 = x, objective(x)
-        else:
-            x = x2 - _GOLDEN * (x2 - a)
-            if not a < x < x1:
-                break
-            b, x2, f2 = x2, x1, f1
-            x1, f1 = x, objective(x)
-    t_best = x1 if f1 >= f2 else x2
-    f_best = max(f1, f2)
-    if values[best] > f_best:  # keep the coarse point if refinement drifted off the peak
-        t_best = float(times[best])
-        f_best = objective(t_best)  # the 1-point path, so the result equals scan_values at t_best
+        # Where f1 < f2 the peak lies in [x1, b] and the new point goes above x2,
+        # otherwise it lies in [a, x2] and the new point goes below x1.
+        up = f1 < f2
+        x = np.where(up, x1 + _GOLDEN * (b - x1), x2 - _GOLDEN * (x2 - a))
+        # Stop at float resolution: once a new interior point is no longer strictly
+        # inside its part of the bracket, the bracket cannot shrink any further.
+        active &= np.where(up, (x2 < x) & (x < b), (a < x) & (x < x1))
+        if not active.any():
+            break
+        f = np.empty_like(f1)
+        f[active] = scan_values(spec, n, x[active])
+        i, j = np.flatnonzero(active & up), np.flatnonzero(active & ~up)
+        a[i], x1[i], f1[i] = x1[i], x2[i], f2[i]
+        x2[i], f2[i] = x[i], f[i]
+        b[j], x2[j], f2[j] = x2[j], x1[j], f1[j]
+        x1[j], f1[j] = x[j], f[j]
+    refined = np.maximum(f1, f2)
+    lobe = int(np.argmax(refined))
+    t_best = float(x1[lobe] if f1[lobe] >= f2[lobe] else x2[lobe])
+    if values[peaks[0]] > refined[lobe]:  # keep the coarse maximum if refinement drifted off the peak
+        t_best = float(times[peaks[0]])
+    f_best = float(scan_values(spec, n, np.array([t_best]))[0])
 
     readout = times[values >= 0.99 * f_best]
     return ProtocolResult(
-        optimal_time=float(t_best),
-        fidelity_at_optimum=float(f_best),
+        optimal_time=t_best,
+        fidelity_at_optimum=f_best,
         cluster=report,
         times=times,
         fidelity=values,

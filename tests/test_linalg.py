@@ -3,8 +3,9 @@ import pytest
 import scipy.linalg
 
 from helpers import cofactor_det
-from spintransfer.amplitudes import total_transfer_amplitude
+from spintransfer.amplitudes import total_transfer_amplitude, transfer_block_series
 from spintransfer.basis import excitation_sector, sector_positions, subsets_by_excitation
+from spintransfer.chain import ChainSpec, spectral
 from spintransfer.linalg import compound_matrix, dets, eig_tridiag, minor
 
 
@@ -183,6 +184,47 @@ def test_exactly_singular_one_plus_block_has_zero_determinant(n):
             blocks.append(-(q @ q.conj().T))
     got = total_transfer_amplitude(np.stack(blocks, axis=-1))
     assert np.max(np.abs(got)) <= 1e-15
+
+
+def _shifted_copy(stack: np.ndarray, shift: float) -> np.ndarray:
+    out = stack.copy()
+    for r in range(stack.shape[0]):
+        out[r, r] += shift
+    return out
+
+
+@pytest.mark.parametrize("k", range(9))
+def test_dets_shift_is_a_shifted_copy_bit_for_bit(k):
+    """dets(x, shift) is dets(x + shift I) to the bit on both sides of the expansion limit, x untouched."""
+    rng = np.random.default_rng(90 + k)
+    stacks = [rng.standard_normal((k, k, 257)) + 1j * rng.standard_normal((k, k, 257))]
+    if k:  # the sender -> receiver blocks of a scan, the stacks det(I + B) sees
+        spec = ChainSpec.weak_coupling(3, k, 0.1)
+        stacks.append(transfer_block_series(spectral(spec), k, np.linspace(0.0, 40.0, 301)))
+    for x in stacks:
+        before = x.copy()
+        for shift in (1.0, -0.75):
+            assert dets(x, shift=shift).tobytes() == dets(_shifted_copy(x, shift)).tobytes()
+        assert total_transfer_amplitude(x).tobytes() == dets(_shifted_copy(x, 1.0)).tobytes()
+        assert x.tobytes() == before.tobytes()
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+def test_unshifted_expansion_reads_the_stack_as_it_is(k):
+    """Without a shift the expansion takes every entry unchanged.
+
+    A diagonal with real parts in [1, 2] survives x - I + I exactly, so
+    shifting that stack back by 1 reproduces dets(x) to the bit; and a
+    negative zero stays negative, which adding 0.0 would not keep.
+    """
+    rng = np.random.default_rng(70 + k)
+    x = rng.standard_normal((k, k, 257)) + 1j * rng.standard_normal((k, k, 257))
+    diag = np.arange(k)
+    x[diag, diag] = rng.uniform(1.0, 2.0, (k, 257)) + 1j * x[diag, diag].imag
+    assert dets(x).tobytes() == dets(_shifted_copy(x, -1.0), shift=1.0).tobytes()
+    assert dets(x).tobytes() == dets(x, shift=0.0).tobytes()
+    if k == 1:
+        assert np.signbit(dets(np.full((1, 1, 3), -0.0)).real).all()
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 5, 7])

@@ -1,7 +1,10 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spintransfer import protocol
 from spintransfer.amplitudes import transfer_amplitudes, transition_matrix
@@ -9,6 +12,7 @@ from spintransfer.chain import ChainSpec, engineered_sender_coupling, resonance_
 from spintransfer.errors import FreeFermionError
 from spintransfer.fidelity import fidelity_terms
 from spintransfer.protocol import (
+    _GOLDEN,
     _SCAN_CHUNK,
     fidelity_scan,
     find_optimal_time,
@@ -170,14 +174,14 @@ def test_weak_coupling_transfer_quality_and_stability(monkeypatch):
     assert abs(res.optimal_time - tau) <= 0.2 * tau
     assert res.readout_times.size > 0
     # Halving the coarse spacing barely moves the optimum.
-    monkeypatch.setattr(protocol, "GRID_STEP", protocol.GRID_STEP / 2)
+    monkeypatch.setattr(protocol, "SEARCH_STEP", protocol.SEARCH_STEP / 2)
     res2 = find_optimal_time(WEAK_15, 3)
     assert abs(res.fidelity_at_optimum - res2.fidelity_at_optimum) < 1e-4
 
 
 @pytest.mark.parametrize(
     "spec, fidelity, time",
-    [(WEAK_15, 0.9996522843448858, 178421.72719985474), (ENG_18, 0.9825414236214055, 77653.07229971504)],
+    [(WEAK_15, 0.9996898369949778, 178430.61290163724), (ENG_18, 0.9825414236214055, 77653.07229971504)],
     ids=["weak15", "eng18"],
 )
 def test_default_search_optimum_is_pinned(spec, fidelity, time):
@@ -189,6 +193,96 @@ def test_default_search_optimum_is_pinned(spec, fidelity, time):
     res = find_optimal_time(spec, spec.block_size)
     assert abs(res.fidelity_at_optimum - fidelity) <= 1e-12
     assert abs(res.optimal_time - time) <= 1e-6
+
+
+def _scaled(spec: ChainSpec, factor: float) -> ChainSpec:
+    """The chain with every coupling, J0 included, multiplied by factor."""
+    return replace(spec, couplings=tuple(factor * j for j in spec.couplings), J0=factor * spec.J0)
+
+
+def _reference_optimum(spec: ChainSpec, window: tuple[float, float]) -> float:
+    """The window's maximum of F from a scan far denser than the search's, then golden section.
+
+    The dense spacing is min(0.025, h / 8), h the search's coarse spacing;
+    the scan runs in slices of 2^18 points, so memory stays flat on long
+    windows.  The best point is refined in [t - spacing, t + spacing] until
+    the bracket stops shrinking, and every returned value is a 1-point scan.
+    """
+    n = spec.block_size
+    h = protocol.SEARCH_STEP * min(1.0, 1.0 / np.max(np.abs(spectral(spec).eigenvalues)))
+    lo, hi = window
+    step = min(0.025, h / 8)
+    count = int(np.ceil((hi - lo) / step)) + 1
+    best_f, best_t = -np.inf, lo
+    for start in range(0, count, 1 << 18):
+        times = np.minimum(lo + step * np.arange(start, min(start + (1 << 18), count)), hi)
+        values = scan_values(spec, n, times)
+        i = int(np.argmax(values))
+        if values[i] > best_f:
+            best_f, best_t = values[i], float(times[i])
+
+    def f(t):
+        return scan_values(spec, n, [t])[0]
+
+    a, b = max(lo, best_t - step), min(hi, best_t + step)
+    x1, x2 = b - _GOLDEN * (b - a), a + _GOLDEN * (b - a)
+    f1, f2 = f(x1), f(x2)
+    while True:
+        if f1 < f2:
+            x = x1 + _GOLDEN * (b - x1)
+            if not x2 < x < b:
+                break
+            a, x1, f1 = x1, x2, f2
+            x2, f2 = x, f(x)
+        else:
+            x = x2 - _GOLDEN * (x2 - a)
+            if not a < x < x1:
+                break
+            b, x2, f2 = x2, x1, f1
+            x1, f1 = x, f(x)
+    return max(f1, f2, f(best_t))
+
+
+_SEARCH_CHAINS = {
+    **{f"weak15-x{c}": _scaled(WEAK_15, c) for c in (1, 2, 5, 10)},
+    **{f"eng18-x{c}": _scaled(ENG_18, c) for c in (1, 2, 5, 10)},
+    "weak15-field1": ChainSpec.weak_coupling(9, 3, 0.01, field=1.0),
+    "weak15-field4": ChainSpec.weak_coupling(9, 3, 0.01, field=4.0),
+}
+
+
+@pytest.mark.parametrize("spec", _SEARCH_CHAINS.values(), ids=_SEARCH_CHAINS.keys())
+def test_default_search_finds_its_windows_maximum(spec):
+    """Scaled couplings and uniform fields raise max|w|, so the coarse spacing must shrink with it."""
+    n = spec.block_size
+    res = find_optimal_time(spec, n)
+    ref = _reference_optimum(spec, (0.0, 1.2 * res.cluster.transfer_time))
+    assert abs(res.fidelity_at_optimum - ref) <= 1e-12
+    assert res.fidelity_at_optimum == scan_values(spec, n, [res.optimal_time])[0]
+
+
+@settings(derandomize=True, deadline=None, max_examples=30)
+@given(
+    n=st.sampled_from([3, 4]),
+    wire=st.integers(2, 13),
+    j0=st.floats(0.01, 0.1),
+    field=st.floats(0.0, 3.0),
+    centre=st.floats(0.9, 1.1),
+    half_width=st.floats(5.0, 400.0),
+)
+def test_search_finds_the_maximum_of_windows_around_tau(n, wire, j0, field, centre, half_width):
+    """Within 1e-12, or within F's own rounding at t where that is larger.
+
+    The phases of B(t) carry up to 4 eps max|w| t of rounding (see
+    transfer_block_series), so on a flat top two 1-point values a few ulps of
+    t apart can differ by that much; a missed lobe costs far more.
+    """
+    spec = ChainSpec.weak_coupling(wire, n, j0, field=field)
+    tau = resonance_report(spec, n).transfer_time
+    window = (max(0.0, centre * tau - half_width), centre * tau + half_width)
+    res = find_optimal_time(spec, n, window=window)
+    rounding = 4 * np.finfo(float).eps * np.max(np.abs(spectral(spec).eigenvalues)) * window[1]
+    assert abs(res.fidelity_at_optimum - _reference_optimum(spec, window)) <= max(1e-12, rounding)
 
 
 def test_optimal_fidelity_monotone_in_coupling():
