@@ -254,6 +254,7 @@ def cmd_spectrum(config: argparse.Namespace) -> int:
 def cmd_scan(config: argparse.Namespace) -> int:
     spec, _ = _apply_engineering(_load_chain(config.spec), config.engineer)
     n = spec.block_size
+    report = None  # scan_chunks analyses the resonance itself unless it is done here
     if config.tmax is not None:
         tmax = config.tmax
         if not (math.isfinite(tmax) and tmax > 0):
@@ -261,7 +262,8 @@ def cmd_scan(config: argparse.Namespace) -> int:
     else:
         if n not in (3, 4):
             raise ConfigError("--tmax is required unless the block has 3 or 4 sites")
-        tmax = 1.2 * resonance_report(spec, n).transfer_time
+        report = resonance_report(spec, n)
+        tmax = 1.2 * report.transfer_time
     points = config.grid if config.grid is not None else int(np.ceil(tmax / GRID_STEP)) + 1
     if points < 1:
         raise ConfigError("--grid must be positive")
@@ -288,7 +290,7 @@ def cmd_scan(config: argparse.Namespace) -> int:
             table["F_phase_aligned"] = independent_channels_fidelity(table["abs_f_1"], 1)
         return table
 
-    _emit_table(config.out, config.format, map(columns, scan_chunks(spec, n, times)))
+    _emit_table(config.out, config.format, map(columns, scan_chunks(spec, n, times, report)))
     return EXIT_OK
 
 
@@ -303,14 +305,15 @@ def cmd_independent(config: argparse.Namespace) -> int:
     if points < 2:
         raise ConfigError("--grid must be at least 2")
     f_grid = np.linspace(0.0, 1.0, points)
+    grid_blocks = [f_grid[lo : lo + _CSV_BLOCK_ROWS] for lo in range(0, points, _CSV_BLOCK_ROWS)]
+    one_qubit = [independent_channels_stats(f, 1) for f in grid_blocks]  # shared by every n
 
     def blocks():
         """The table in blocks of grid points, n-major as written."""
         for n in ns:
-            for lo in range(0, points, _CSV_BLOCK_ROWS):
-                f = f_grid[lo : lo + _CSV_BLOCK_ROWS]
+            for f, one in zip(grid_blocks, one_qubit):
                 stats = independent_channels_stats(f, n)
-                product = product_state_stats(independent_channels_stats(f, 1), n)
+                product = product_state_stats(one, n)
                 # F_n fixes the real amplitude f, so the ratio at fixed F_n is the ratio at f.
                 ratio = product_ratio_vs_amplitude(f, n)
                 yield {

@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from spintransfer import cli, dynmap, fidelity
+from spintransfer import chain, cli, dynmap, fidelity, protocol
 from spintransfer.chain import ChainSpec, engineered_sender_coupling
 from spintransfer.cli import main
 
@@ -157,6 +157,23 @@ def test_out_file_mode_and_symlink_match_plain_open(tmp_path):
     assert link.is_symlink() and written.read_text() == "y\n"
 
 
+@pytest.mark.parametrize("tmax", [None, 500.0], ids=["tau-window", "given-tmax"])
+def test_scan_runs_one_resonance_analysis(weak15, tmp_path, monkeypatch, tmax):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return chain.resonance_report(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "resonance_report", counted)
+    monkeypatch.setattr(protocol, "resonance_report", counted)
+    out = tmp_path / "scan.csv"
+    window = [] if tmax is None else ["--tmax", tmax]
+    assert run(["scan", "--spec", weak15, *window, "--grid", 40, "--out", out]) == 0
+    assert len(calls) == 1
+    assert out.read_text().splitlines()[0].split(",")[2] == "F_envelope"
+
+
 def test_out_in_missing_directory_exits_before_any_work(weak15, tmp_path, monkeypatch, capsys):
     def no_scan(*args, **kwargs):
         raise AssertionError("the scan ran before --out was checked")
@@ -293,6 +310,21 @@ def test_independent_builds_no_maps(tmp_path, monkeypatch):
     out = tmp_path / "ind.csv"
     assert run(["independent", "--n-list", "1,2,3,4", "--grid", 11, "--out", out]) == 0
     assert len(out.read_text().splitlines()) == 1 + 4 * 11
+
+
+def test_independent_computes_the_one_qubit_stats_once_per_grid_block(tmp_path, monkeypatch):
+    calls = []
+
+    def counted(f, n):
+        calls.append(n)
+        return fidelity.independent_channels_stats(f, n)
+
+    monkeypatch.setattr(cli, "independent_channels_stats", counted)
+    out = tmp_path / "ind.csv"
+    points = cli._CSV_BLOCK_ROWS + 5  # two grid blocks
+    assert run(["independent", "--n-list", "1,2,3,4", "--grid", points, "--out", out]) == 0
+    # Two blocks of one-qubit stats, then one call per (n, block) for the full stats.
+    assert calls == [1, 1] + [n for n in (1, 2, 3, 4) for _ in range(2)]
 
 
 def test_independent_channel_count_error_names_the_option(tmp_path, capsys):

@@ -19,6 +19,7 @@ from spintransfer.amplitudes import chain_transition_matrix, transfer_block_seri
 from spintransfer.chain import ChainSpec, engineered_sender_coupling, resonance_report, spectral
 from spintransfer.dynmap import (
     DynamicalMap,
+    _connected_blocks,
     _kraus_from_block,
     _pairing_deviation,
     _stored_gram,
@@ -589,6 +590,63 @@ def test_kraus_evaluator_matches_the_element_quadratic_form(name):
     rng = np.random.default_rng(16)
     for states in (haar_states(m.d, 2000, rng), product_states(m.d.bit_length() - 1, 2000, rng)):
         assert np.max(np.abs(ev(states) - element_fidelities(m, states))) <= 1e-14
+
+
+def _kraus_sum(kraus: np.ndarray, states: np.ndarray) -> np.ndarray:
+    """sum_x |<psi|K_x|psi>|^2 of each state row, with K_x[i, P] = T[P, i, x]."""
+    y = np.einsum("sP,Pix,si->sx", states, kraus, states.conj())
+    return np.sum(np.abs(y) ** 2, axis=1)
+
+
+def _random_kraus(d: int, k: int, rng: np.random.Generator) -> np.ndarray:
+    return rng.standard_normal((d, d, k)) + 1j * rng.standard_normal((d, d, k))
+
+
+def _holed_kraus() -> np.ndarray:
+    """Two dense blocks sharing no row or column, plus an all-zero row (P, i) and column x."""
+    kraus = _random_kraus(4, 7, np.random.default_rng(3))
+    rows = kraus.reshape(16, 7)
+    rows[:8, 3:] = 0.0
+    rows[8:, :3] = 0.0
+    rows[11] = 0.0
+    rows[:, 5] = 0.0
+    return kraus
+
+
+KRAUS_TENSORS = {
+    "aniso16-12.3": lambda: SAMPLED_MAPS["aniso16-12.3"]().kraus,
+    "independent-0.6-n4": lambda: independent_channels_map(0.6, 4).kraus,
+    "dense-random": lambda: _random_kraus(8, 11, np.random.default_rng(4)),
+    "zero-row-and-column": _holed_kraus,
+    "all-zero": lambda: np.zeros((4, 4, 5), dtype=complex),
+}
+
+
+@pytest.mark.parametrize("name", KRAUS_TENSORS)
+def test_block_evaluator_matches_the_kraus_sum(name):
+    """Per-block factors give sum_x |<psi|K_x|psi>|^2 within 1e-14, with one block or many."""
+    kraus = KRAUS_TENSORS[name]()
+    d = kraus.shape[0]
+    ev = fidelity_evaluator(DynamicalMap(d, _stored_gram(kraus), kraus))
+    rng = np.random.default_rng(17)
+    states = haar_states(d, 500, rng)
+    scale = max(1.0, float(np.linalg.norm(kraus)) ** 2 / d)  # the random tensors are not trace preserving
+    assert np.max(np.abs(ev(states) - _kraus_sum(kraus, states))) <= 1e-14 * scale
+    if name == "all-zero":
+        assert ev(states).tobytes() == np.zeros(500).tobytes()
+
+
+def test_connected_blocks_of_the_kraus_tensor():
+    """aniso16's five excitation-number blocks; a dense tensor is one block; zeros join nothing."""
+    d = 16
+    blocks = _connected_blocks(SAMPLED_MAPS["aniso16-12.3"]().kraus.reshape(d * d, -1))
+    assert [(r.size, c.size) for r, c in blocks] == [(70, 1), (56, 12), (28, 66), (8, 220), (1, 495)]
+    dense = _random_kraus(3, 5, np.random.default_rng(5)).reshape(9, 5)
+    [(rows, columns)] = _connected_blocks(dense)
+    assert rows.tolist() == list(range(9)) and columns.tolist() == list(range(5))
+    holed = [(r.tolist(), c.tolist()) for r, c in _connected_blocks(_holed_kraus().reshape(16, 7))]
+    assert holed == [(list(range(8)), [0, 1, 2]), ([8, 9, 10, 12, 13, 14, 15], [3, 4, 6])]
+    assert _connected_blocks(np.zeros((4, 5))) == []
 
 
 def _whole_array_pairing(m: DynamicalMap) -> float:
