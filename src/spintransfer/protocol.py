@@ -4,7 +4,7 @@ The slow scale of a weak-coupling transfer is the second-order splitting
 delta_omega of the block-localised doublets, giving an envelope period
 tau = pi / delta_omega; on top of it the block-internal dynamics oscillates on
 the O(1/J) scale.  Searches therefore do a dense coarse scan (resolving the
-fast scale) followed by a golden-section refinement of its best lobes.
+fast scale) followed by a refinement of its best lobes on shrinking grids.
 """
 
 from __future__ import annotations
@@ -31,9 +31,12 @@ _SCAN_CHUNK = 1 << 14
 GRID_STEP = 0.2
 # Coarse spacing of find_optimal_time at max|w| <= 1; the spacing shrinks as 1 / max|w| above.
 SEARCH_STEP = 0.4
-# Coarse local maxima of find_optimal_time refined by golden section.
+# Coarse local maxima of find_optimal_time refined on shrinking centred grids.
 _SEARCH_LOBES = 32
-_GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
+# Points of each lobe's refinement grid, which shrinks to 2 / (_REFINE_POINTS - 1) of its
+# width per round.  Odd, so that offset 0.0, the lobe's centre, is a grid point; at least 5,
+# since at 3 the half-width never shrinks and the refinement never ends.
+_REFINE_POINTS = 9
 
 
 def transfer_envelope(
@@ -163,7 +166,7 @@ def find_optimal_time(
     n: int,
     window: tuple[float, float] | None = None,
 ) -> ProtocolResult:
-    """Locate the best transfer time by a coarse scan plus golden-section refinement.
+    """Locate the best transfer time by a coarse scan plus a refinement of its best lobes.
 
     Without an explicit window the scan covers [0, 1.2 tau].  The coarse grid
     must resolve the fast block dynamics, whose fastest phase turns at the
@@ -173,23 +176,26 @@ def find_optimal_time(
     returned `times`, `fidelity` and `readout_times` lie on that grid.
 
     The 32 (_SEARCH_LOBES) best coarse local maxima, an edge point counting
-    when it is not below its one neighbour, are refined together by golden
-    section, each in its bracket [t - spacing, t + spacing] clipped to the
-    window: one `scan_values` call places both interior points of every
-    bracket, then each step makes one call on the new points of the brackets
-    still shrinking.  The best refined point wins unless the coarse maximum beats
-    it.  F* is then evaluated alone at t*, so it equals
+    when it is not below its one neighbour, are refined together, one
+    `scan_values` call per round.  Each lobe's grid of 9 (_REFINE_POINTS)
+    points, clipped to the window, is centred on its best point so far; the
+    first spans [t - spacing, t + spacing] and holds the coarse point t
+    itself.  Each round moves every centre to its grid's best point, the
+    centre itself on a tie, and shrinks the grid to a quarter of its width,
+    until its half-width is below the float spacing at the window's far end.
+    t* is the centre of the lobe with the best last-round value, the best
+    coarse lobe on a tie.  F* is then evaluated alone at t*, so it equals
     `scan_values(spec, n, [t*])[0]` exactly: a batch of two or more points
     may take the factorised-phase path and round differently.
 
-    The brackets are compared on batch values, whose phases round to within
+    The grids are compared on batch values, whose phases round to within
     4 eps max|w| |t| (see transfer_block_series), so F* may sit below the best
     1-point value in the window by up to 4 eps max|w| hi.  Against a 1-point
-    search far denser than this one, the gap was at most 0.15 eps max|w| hi
-    on 131 windows: the ten default windows of the tests' scaled and
-    field-shifted weak15 and eng18 chains, 120 random weak-coupling windows
-    with fields up to 3, and weak_coupling(2, 3, 0.03125, field=3.0) on
-    tau +- 8, where it was 1.09e-12 (0.10 eps max|w| hi).
+    search far denser than this one, the gap was at most 0.042 eps max|w| hi
+    (2.2e-13) on 131 windows: the ten default windows of the tests' scaled
+    and field-shifted weak15 and eng18 chains, 120 random weak-coupling
+    windows with fields up to 3, and weak_coupling(2, 3, 0.03125, field=3.0)
+    on tau +- 8, where F* was 1.5e-13 above it.
     """
     try:
         report = resonance_report(spec, n)
@@ -217,34 +223,20 @@ def find_optimal_time(
         keep = negated <= np.partition(negated, _SEARCH_LOBES - 1)[_SEARCH_LOBES - 1]
         peaks, negated = peaks[keep], negated[keep]
     peaks = peaks[np.argsort(negated, kind="stable")[:_SEARCH_LOBES]]
-    a = np.maximum(lo, times[peaks] - spacing)
-    b = np.minimum(hi, times[peaks] + spacing)
-    x1 = b - _GOLDEN * (b - a)
-    x2 = a + _GOLDEN * (b - a)
-    f1, f2 = np.split(scan_values(spec, n, np.concatenate((x1, x2))), 2)
-    active = np.ones(peaks.size, dtype=bool)
+    # Each lobe's grid is ordered by distance from its centre, so a tie keeps the centre.
+    offsets = np.linspace(-1.0, 1.0, _REFINE_POINTS)
+    offsets = offsets[np.argsort(np.abs(offsets), kind="stable")]
+    centre, half = times[peaks], spacing
+    resolution = np.spacing(max(abs(lo), abs(hi)))
     while True:
-        # Where f1 < f2 the peak lies in [x1, b] and the new point goes above x2,
-        # otherwise it lies in [a, x2] and the new point goes below x1.
-        up = f1 < f2
-        x = np.where(up, x1 + _GOLDEN * (b - x1), x2 - _GOLDEN * (x2 - a))
-        # Stop at float resolution: once a new interior point is no longer strictly
-        # inside its part of the bracket, the bracket cannot shrink any further.
-        active &= np.where(up, (x2 < x) & (x < b), (a < x) & (x < x1))
-        if not active.any():
+        grid = np.clip(centre[:, None] + half * offsets, lo, hi)
+        f = scan_values(spec, n, grid.ravel()).reshape(grid.shape)
+        best = np.argmax(f, axis=1)
+        centre = grid[np.arange(peaks.size), best]
+        half *= 2.0 / (_REFINE_POINTS - 1)
+        if half < resolution:
             break
-        f = np.empty_like(f1)
-        f[active] = scan_values(spec, n, x[active])
-        i, j = np.flatnonzero(active & up), np.flatnonzero(active & ~up)
-        a[i], x1[i], f1[i] = x1[i], x2[i], f2[i]
-        x2[i], f2[i] = x[i], f[i]
-        b[j], x2[j], f2[j] = x2[j], x1[j], f1[j]
-        x1[j], f1[j] = x[j], f[j]
-    refined = np.maximum(f1, f2)
-    lobe = int(np.argmax(refined))
-    t_best = float(x1[lobe] if f1[lobe] >= f2[lobe] else x2[lobe])
-    if values[peaks[0]] > refined[lobe]:  # keep the coarse maximum if refinement drifted off the peak
-        t_best = float(times[peaks[0]])
+    t_best = float(centre[np.argmax(f.max(axis=1))])
     f_best = float(scan_values(spec, n, np.array([t_best]))[0])
 
     readout = times[values >= 0.99 * f_best]

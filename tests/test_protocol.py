@@ -12,7 +12,6 @@ from spintransfer.chain import ChainSpec, engineered_sender_coupling, resonance_
 from spintransfer.errors import FreeFermionError
 from spintransfer.fidelity import fidelity_terms
 from spintransfer.protocol import (
-    _GOLDEN,
     _SCAN_CHUNK,
     fidelity_scan,
     find_optimal_time,
@@ -181,7 +180,7 @@ def test_weak_coupling_transfer_quality_and_stability(monkeypatch):
 
 @pytest.mark.parametrize(
     "spec, fidelity, time",
-    [(WEAK_15, 0.9996898369949778, 178430.61290163724), (ENG_18, 0.9825414236214055, 77653.07229971504)],
+    [(WEAK_15, 0.9996898369949818, 178430.61290168986), (ENG_18, 0.9825414236213732, 77653.07229995633)],
     ids=["weak15", "eng18"],
 )
 def test_default_search_optimum_is_pinned(spec, fidelity, time):
@@ -198,6 +197,9 @@ def test_default_search_optimum_is_pinned(spec, fidelity, time):
 def _scaled(spec: ChainSpec, factor: float) -> ChainSpec:
     """The chain with every coupling, J0 included, multiplied by factor."""
     return replace(spec, couplings=tuple(factor * j for j in spec.couplings), J0=factor * spec.J0)
+
+
+_GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 
 
 def _reference_optimum(spec: ChainSpec, window: tuple[float, float]) -> float:
@@ -326,6 +328,22 @@ def test_golden_section_stops_on_a_one_float_window(t, monkeypatch):
     assert len(calls) <= 4  # coarse grid, two interior points, the coarse-point fallback
     assert res.fidelity_at_optimum == scan(WEAK_15, 3, [res.optimal_time])[0]
 
+
+
+def test_search_stops_at_float_resolution_when_the_best_point_is_the_window_start(monkeypatch):
+    """The refinement grids shrink to float resolution at hi, not to the subnormals near t = 0."""
+    calls = []
+    scan = protocol.scan_values
+
+    def counting(*args):
+        calls.append(args[2])
+        return scan(*args)
+
+    monkeypatch.setattr(protocol, "scan_values", counting)
+    spec = ChainSpec.uniform(8, n=2)
+    res = find_optimal_time(spec, 2, window=(0.0, 0.3))
+    assert len(calls) <= 40
+    assert res.fidelity_at_optimum == scan(spec, 2, [res.optimal_time])[0]
 
 def test_fidelity_scan_join_holds_about_one_result():
     """Joining the pieces one column at a time keeps the peak near the size of the result."""
