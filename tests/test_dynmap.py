@@ -649,6 +649,129 @@ def test_connected_blocks_of_the_kraus_tensor():
     assert _connected_blocks(np.zeros((4, 5))) == []
 
 
+def test_connected_blocks_of_a_pattern_with_its_diagonal_set_are_principal():
+    """Setting the diagonal joins row i to column i; without it a zero-diagonal pair splits."""
+    pair = [(r.tolist(), c.tolist()) for r, c in _connected_blocks(np.array([[0, 1], [1, 0]]))]
+    assert pair == [([1], [0]), ([0], [1])]
+    pattern = np.random.default_rng(6).random((12, 12)) < 0.12  # not symmetric
+    pattern[5] = pattern[:, 5] = False
+    np.fill_diagonal(pattern, True)
+    blocks = _connected_blocks(pattern)
+    for rows, columns in blocks:
+        assert rows.tolist() == columns.tolist()
+    assert sorted(np.concatenate([rows for rows, _ in blocks]).tolist()) == list(range(12))
+    assert ([5], [5]) in [(r.tolist(), c.tolist()) for r, c in blocks]
+
+
+def _perturbed(m: DynamicalMap, changes: dict) -> DynamicalMap:
+    """A map given by its elements alone: m's, plus each value of changes at its index [i, j, n, m]."""
+    a = m.as_tensor().copy()
+    for index, value in changes.items():
+        a[index] += value
+    return DynamicalMap(d=m.d, elements=a.reshape(m.d**2, m.d**2))
+
+
+# Maps given by their elements alone that fail validate_cptp, with the failures it reports.
+BROKEN_MAPS = {
+    "diagonal-entry-2": (
+        lambda: _perturbed(identity_map(2), {(0, 0, 0, 0): 1.0}),
+        ("trace_preservation", "diagonal_bounds", "total_sum"),
+    ),
+    "leaked-population": (
+        lambda: _perturbed(identity_map(2), {(0, 0, 1, 1): 0.5}),
+        ("trace_preservation", "total_sum"),
+    ),
+    "transpose": (_transpose_map, ("choi_positivity",)),
+    "pairing-broken-product": (
+        # Its entry's partner [2, 31, 7, 5] is left alone.
+        lambda: _perturbed(independent_channels_map(0.6, 5), {(31, 2, 5, 7): 0.3j}),
+        ("hermiticity_pairing", "choi_positivity"),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", BROKEN_MAPS)
+def test_broken_maps_report_exactly_their_failures(name):
+    make, failures = BROKEN_MAPS[name]
+    report = validate_cptp(make())
+    assert not report.passed
+    assert report.failures == failures
+
+
+PAIR_ENTRY = 0.3 * np.exp(0.4j)
+
+
+def _zero_diagonal_pair() -> DynamicalMap:
+    """The qubit identity plus c on Choi entry [(0,1)][(1,0)] and conj(c) on its transpose.
+
+    Choi rows (0,1) and (1,0) are otherwise zero, so every other check still passes.
+    """
+    return _perturbed(identity_map(2), {(1, 0, 0, 1): np.conj(PAIR_ENTRY), (0, 1, 1, 0): PAIR_ENTRY})
+
+
+def test_a_zero_diagonal_choi_pair_keeps_its_negative_eigenvalue():
+    """The Hermitian part holds [[0, c], [conj c, 0]] on two rows, whose eigenvalues are +-|c|."""
+    m = _zero_diagonal_pair()
+    choi = choi_matrix(m)
+    assert choi[1, 1] == choi[2, 2] == 0 and choi[1, 2] == PAIR_ENTRY
+    report = validate_cptp(m)
+    assert report.choi_min_eigenvalue == pytest.approx(-abs(PAIR_ENTRY), abs=1e-15)
+    assert report.failures == ("choi_positivity",)
+
+
+def _random_elements(d: int, seed: int) -> DynamicalMap:
+    rng = np.random.default_rng(seed)
+    return DynamicalMap(d, rng.standard_normal((d * d, d * d)) + 1j * rng.standard_normal((d * d, d * d)))
+
+
+CHOI_MAPS = {
+    **SAMPLED_MAPS,
+    "uniform10-n5": lambda: map_from_evolution(ChainSpec.uniform(10, n=5), 5, 7.3),
+    **{f"dense-random-d{d}": lambda d=d: _random_elements(d, d) for d in (2, 3, 5, 8)},
+    **{name: make for name, (make, _) in BROKEN_MAPS.items()},
+    "zero-diagonal-pair": _zero_diagonal_pair,
+}
+
+
+def _assert_choi_min_matches_full_eigvalsh(m: DynamicalMap) -> None:
+    """Within 1e-12 max(1, ||H||_2) of eigvalsh of the whole Hermitian part H (||H||_2 <= ||C||_2)."""
+    choi = choi_matrix(m)
+    full = np.linalg.eigvalsh((choi + choi.conj().T) / 2.0)
+    scale = max(1.0, abs(full[0]), abs(full[-1]))
+    assert abs(validate_cptp(m).choi_min_eigenvalue - full[0]) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("name", CHOI_MAPS)
+def test_block_choi_eigenvalue_matches_the_full_eigvalsh(name, monkeypatch):
+    """Excitation-number conservation splits the Choi matrix; a dense one is a single block."""
+    m = CHOI_MAPS[name]()
+    blocks = []
+    find = dynmap._connected_blocks
+
+    def recording(pattern):
+        blocks[:] = find(pattern)
+        return blocks
+
+    monkeypatch.setattr(dynmap, "_connected_blocks", recording)
+    _assert_choi_min_matches_full_eigvalsh(m)
+    sizes = [rows.size for rows, _ in blocks]  # the blocks of more than one row
+    if name.startswith("dense-random"):
+        assert sizes == [m.d**2]
+    if name in ("eng18-tau", "aniso16-12.3"):
+        assert sorted(sizes) == [8, 28, 56, 70]
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(
+    chain=free_fermion_chains(st.integers(4, 10), lambda N: st.integers(1, min(4, N // 2))),
+    delta=st.one_of(st.just(0.0), st.floats(-1.0, 1.0).filter(bool)),
+    t=st.floats(0.0, 50.0),
+)
+def test_block_choi_eigenvalue_matches_the_full_eigvalsh_on_random_chains(chain, delta, t):
+    spec, n = chain
+    _assert_choi_min_matches_full_eigvalsh(map_from_evolution(replace(spec, delta=delta), n, t))
+
+
 def _whole_array_pairing(m: DynamicalMap) -> float:
     a = m.as_tensor()
     return float(np.max(np.abs(a - a.transpose(1, 0, 3, 2).conj())))
@@ -704,7 +827,7 @@ def _choi_bound_and_report(spec: ChainSpec, n: int, t: float):
     t=st.floats(0.0, 50.0),
 )
 def test_gram_choi_bound_covers_the_least_choi_eigenvalue(chain, delta, t):
-    """The a-priori rounding bound from T is at least -lambda_min of the full Choi eigvalsh."""
+    """The a-priori rounding bound from T is at least -lambda_min that validate_cptp reports."""
     spec, n = chain
     bound, report = _choi_bound_and_report(replace(spec, delta=delta), n, t)
     assert report.passed, report.failures

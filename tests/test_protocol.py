@@ -312,8 +312,8 @@ def test_search_keeps_the_coarse_point_when_fidelity_rises_across_the_window():
 
 
 @pytest.mark.parametrize("t", [0.0, 1e5])
-def test_golden_section_stops_on_a_one_float_window(t, monkeypatch):
-    """The bracket cannot shrink below one float, so the refinement stops at once."""
+def test_refinement_stops_on_a_one_float_window(t, monkeypatch):
+    """A grid one float wide cannot shrink, so the refinement stops after its first round."""
     calls = []
     scan = protocol.scan_values
 
@@ -325,7 +325,7 @@ def test_golden_section_stops_on_a_one_float_window(t, monkeypatch):
     hi = np.nextafter(t, np.inf)
     res = find_optimal_time(WEAK_15, 3, window=(t, hi))
     assert t <= res.optimal_time <= hi
-    assert len(calls) <= 4  # coarse grid, two interior points, the coarse-point fallback
+    assert len(calls) <= 4  # coarse grid, one refinement round, F*
     assert res.fidelity_at_optimum == scan(WEAK_15, 3, [res.optimal_time])[0]
 
 
