@@ -352,6 +352,8 @@ def _mc_block(result: McResult, mean_ref: float, m2_ref: float) -> dict:
 def cmd_montecarlo(config: argparse.Namespace) -> int:
     if config.seed is None:
         raise ConfigError("--seed is mandatory for Monte Carlo runs")
+    if config.seed < 0:
+        raise ConfigError(f"--seed must be non-negative, got {config.seed}")
     if config.samples < 1:
         raise ConfigError("--samples must be positive")
 

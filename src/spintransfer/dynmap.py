@@ -94,11 +94,6 @@ def trace_deviation(m: DynamicalMap) -> float:
     return float(np.max(np.abs(np.einsum("iinm->nm", m.as_tensor()) - np.eye(m.d))))
 
 
-def _slab_size(d: int) -> int:
-    """Leading indices per slab of a map's d^4 elements: at most 16^4 elements, so d <= 16 is one."""
-    return max(1, 16**4 // d**3)
-
-
 def _element_deviations(m: DynamicalMap) -> dict[str, float]:
     """Largest violation of trace preservation, the diagonal bounds and the total sum."""
     a = m.as_tensor()
@@ -110,26 +105,19 @@ def _element_deviations(m: DynamicalMap) -> dict[str, float]:
     }
 
 
-def _pairing_deviation(m: DynamicalMap) -> float:
-    """Largest violation of the hermiticity pairing, compared slab by slab."""
-    a = m.as_tensor()
-    step = _slab_size(m.d)
-    return float(max(
-        np.max(np.abs(a[i : i + step] - a[:, i : i + step].transpose(1, 0, 3, 2).conj()))
-        for i in range(0, m.d, step)
-    ))
+def _choi_deviations(m: DynamicalMap) -> tuple[float, float]:
+    """Hermiticity pairing max|C - C^dagger| and least eigenvalue of C's Hermitian part H.
 
-
-def _choi_min_eigenvalue(m: DynamicalMap) -> float:
-    """Least eigenvalue of the Choi matrix's Hermitian part H, one principal block at a time.
-
-    A permuted block-diagonal matrix has the union of its blocks' eigenvalues.
+    Both are read one principal block of the Choi matrix C at a time.  A
+    permuted block-diagonal matrix has the union of its blocks' eigenvalues.
     The blocks are the connected components of H's exact nonzero pattern with
     the diagonal set: that joins row i to column i, so each block's rows are
     its columns, and a zero-diagonal pair [[0, c], [c, 0]] stays one block
-    with its eigenvalue -|c|.  The pattern is symmetric, so a row that is zero
-    off the diagonal is a 1 x 1 block, whose eigenvalue is its real diagonal
-    entry; the other rows' blocks are found among those rows alone.
+    with its eigenvalue -|c|.  An entry C_ab - conj(C_ba) of C - C^dagger is
+    nonzero only inside that pattern, so within a block.  The pattern is
+    symmetric, so a row that is zero off the diagonal is a 1 x 1 block, whose
+    eigenvalue is its real diagonal entry and whose pairing deviation is
+    2 |Im C_aa|; the other rows' blocks are found among those rows alone.
     Excitation-number conservation makes the blocks small (70, 56, 28 and 8
     rows plus 94 single rows at n = 4); a dense Choi matrix is one block.
     """
@@ -137,18 +125,29 @@ def _choi_min_eigenvalue(m: DynamicalMap) -> float:
     pattern = (choi != 0) | (choi.T != 0)
     np.fill_diagonal(pattern, True)
     single = np.count_nonzero(pattern, axis=1) == 1
-    least = np.min(choi.diagonal()[single].real, initial=np.inf)
+    diagonal = choi.diagonal()[single]
+    pairing = 2.0 * np.max(np.abs(diagonal.imag), initial=0.0)
+    least = np.min(diagonal.real, initial=np.inf)
     rest = np.flatnonzero(~single)
     for rows, _ in _connected_blocks(pattern[np.ix_(rest, rest)]):
         block = choi[np.ix_(rest[rows], rest[rows])]
-        least = min(least, np.linalg.eigvalsh((block + block.conj().T) / 2.0)[0])
-    return float(least)
+        adjoint = block.conj().T
+        pairing = max(pairing, np.max(np.abs(block - adjoint)))
+        least = min(least, np.linalg.eigvalsh((block + adjoint) / 2.0)[0])
+    return float(pairing), float(least)
 
 
 def validate_cptp(m: DynamicalMap, tolerance: float = VALIDATION_TOL) -> CptpReport:
-    """Check trace preservation, hermiticity pairing, diagonal bounds and Choi positivity."""
-    deviations = {**_element_deviations(m), "hermiticity_pairing": _pairing_deviation(m)}
-    choi_min = _choi_min_eigenvalue(m)
+    """Check trace preservation, hermiticity pairing, diagonal bounds and Choi positivity.
+
+    Trace preservation, the diagonal bounds and the total sum are read from the
+    elements; the pairing (the Choi matrix's Hermiticity) and Choi positivity from
+    one pass over its principal blocks.  ValueError unless 0 <= tolerance < inf.
+    """
+    if not 0.0 <= tolerance < np.inf:  # NaN compares false, so it fails too
+        raise ValueError(f"tolerance must be finite and non-negative, got {tolerance}")
+    pairing, choi_min = _choi_deviations(m)
+    deviations = {**_element_deviations(m), "hermiticity_pairing": pairing}
     checks = {**deviations, "choi_positivity": -choi_min}
     failures = tuple(name for name, dev in checks.items() if dev > tolerance)
     return CptpReport(
@@ -163,7 +162,7 @@ def validate_cptp(m: DynamicalMap, tolerance: float = VALIDATION_TOL) -> CptpRep
 def choi_matrix(m: DynamicalMap) -> np.ndarray:
     """Choi matrix C[(n,i)][(m,j)] = conj(A[(i,j)][(n,m)]), PSD exactly when the map is CP."""
     d = m.d
-    return m.as_tensor().conj().transpose(2, 0, 3, 1).reshape(d**2, d**2)
+    return np.conjugate(m.as_tensor().transpose(2, 0, 3, 1), order="C").reshape(d**2, d**2)
 
 
 def _gram_choi_bound(amplitudes: np.ndarray) -> float:
@@ -315,7 +314,7 @@ def _stored_gram(amplitudes: np.ndarray) -> np.ndarray:
     """
     d = amplitudes.shape[0]
     m = amplitudes.transpose(1, 0, 2).reshape(d * d, -1)  # [(i, P), x]
-    step = _slab_size(d)
+    step = max(1, 16**4 // d**3)  # at most 16^4 elements per slab, so d <= 16 is one
     out = None
     for lo in range(0, d, step):
         slab = (np.conj(m[lo * d : (lo + step) * d]) @ m.T).reshape(-1, d, d, d)  # [i, P, j, Q]

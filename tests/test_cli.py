@@ -434,6 +434,19 @@ def test_montecarlo_requires_seed():
     assert run(["montecarlo", "--identity", "--n", 1, "--samples", 100]) == 2
 
 
+def test_montecarlo_rejects_a_negative_seed_before_any_work(tmp_path, monkeypatch, capsys):
+    def no_map(*args, **kwargs):
+        raise AssertionError("a map was built")
+
+    monkeypatch.setattr(cli, "independent_channels_map", no_map)
+    out = tmp_path / "mc.json"
+    assert run(["montecarlo", "--amplitude", 0.5, "--n", 1, "--samples", 10, "--seed", -1,
+                "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --seed") and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_montecarlo_reproducible(tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     for out in (a, b):

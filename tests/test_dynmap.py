@@ -21,7 +21,6 @@ from spintransfer.dynmap import (
     DynamicalMap,
     _connected_blocks,
     _kraus_from_block,
-    _pairing_deviation,
     _stored_gram,
     choi_matrix,
     classical_transfer_map,
@@ -733,12 +732,22 @@ CHOI_MAPS = {
 }
 
 
+def _whole_array_pairing(m: DynamicalMap) -> float:
+    a = m.as_tensor()
+    return float(np.max(np.abs(a - a.transpose(1, 0, 3, 2).conj())))
+
+
 def _assert_choi_min_matches_full_eigvalsh(m: DynamicalMap) -> None:
-    """Within 1e-12 max(1, ||H||_2) of eigvalsh of the whole Hermitian part H (||H||_2 <= ||C||_2)."""
+    """Within 1e-12 max(1, ||H||_2) of eigvalsh of the whole Hermitian part H (||H||_2 <= ||C||_2).
+
+    The pairing read from the same blocks equals the whole-array comparison exactly.
+    """
     choi = choi_matrix(m)
     full = np.linalg.eigvalsh((choi + choi.conj().T) / 2.0)
     scale = max(1.0, abs(full[0]), abs(full[-1]))
-    assert abs(validate_cptp(m).choi_min_eigenvalue - full[0]) <= 1e-12 * scale
+    report = validate_cptp(m)
+    assert abs(report.choi_min_eigenvalue - full[0]) <= 1e-12 * scale
+    assert report.hermiticity_pairing == _whole_array_pairing(m)
 
 
 @pytest.mark.parametrize("name", CHOI_MAPS)
@@ -772,20 +781,16 @@ def test_block_choi_eigenvalue_matches_the_full_eigvalsh_on_random_chains(chain,
     _assert_choi_min_matches_full_eigvalsh(map_from_evolution(replace(spec, delta=delta), n, t))
 
 
-def _whole_array_pairing(m: DynamicalMap) -> float:
-    a = m.as_tensor()
-    return float(np.max(np.abs(a - a.transpose(1, 0, 3, 2).conj())))
-
-
-def test_hermiticity_pairing_is_checked_slab_by_slab():
+def test_hermiticity_pairing_is_read_from_the_choi_blocks():
+    """The pairing equals the whole-array comparison; the check holds about one Choi matrix."""
     product = independent_channels_map(0.6, 5)  # d = 32, 16.8 MB
     tracemalloc.start()
     try:
-        _pairing_deviation(product)
+        validate_cptp(product)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 0.25 * product.elements.nbytes, f"peak {peak / product.elements.nbytes:.2f} maps"
+    assert peak <= 1.25 * product.elements.nbytes, f"peak {peak / product.elements.nbytes:.2f} maps"
 
     broken = product.as_tensor().copy()
     broken[31, 2, 5, 7] += 0.3j  # its partner [2, 31, 7, 5] is left alone
@@ -796,8 +801,22 @@ def test_hermiticity_pairing_is_checked_slab_by_slab():
         DynamicalMap(d=32, elements=broken.reshape(1024, 1024)),
     ]
     for m in maps:
-        assert _pairing_deviation(m) == _whole_array_pairing(m)
-    assert _pairing_deviation(maps[-1]) >= 0.3
+        assert validate_cptp(m).hermiticity_pairing == _whole_array_pairing(m)
+    assert validate_cptp(maps[-1]).hermiticity_pairing >= 0.3
+
+
+@pytest.mark.parametrize("tolerance", [float("nan"), float("inf"), -1.0])
+def test_validate_cptp_rejects_a_meaningless_tolerance(tolerance, monkeypatch):
+    """NaN or inf would pass any map and a negative tolerance fail every one: both raise first."""
+
+    def no_work(m):
+        raise AssertionError("the map was checked")
+
+    broken = BROKEN_MAPS["diagonal-entry-2"][0]()
+    monkeypatch.setattr(dynmap, "_choi_deviations", no_work)
+    monkeypatch.setattr(dynmap, "_element_deviations", no_work)
+    with pytest.raises(ValueError, match="tolerance"):
+        validate_cptp(broken, tolerance)
 
 
 def test_map_assembly_holds_about_one_map():
@@ -852,7 +871,7 @@ def test_gram_built_maps_are_not_diagonalised_on_construction(n, monkeypatch):
     def no_eigvalsh(m):
         raise AssertionError("the Choi matrix was diagonalised")
 
-    monkeypatch.setattr(dynmap, "_choi_min_eigenvalue", no_eigvalsh)
+    monkeypatch.setattr(dynmap, "_choi_deviations", no_eigvalsh)
     f = 0.6 * np.exp(0.7j)
     maps = [map_from_evolution(_anisotropic(2 * n + 2, n, delta), n, 6.1) for delta in (0.0, 0.3)]
     maps.append(independent_channels_map(f, n))
