@@ -3,7 +3,9 @@
 Commands exit 0 on success, 2 on configuration errors, 3 on numerical
 failures and 4 when a Monte Carlo cross-check disagrees with the closed-form
 value beyond 5 standard errors.  CSV numbers are printed with 17 significant
-digits (%.17g); JSON numbers are Python's shortest round-trip repr (0.1, not
+digits, byte for byte as '%.17g' % x writes them, but formatted a block of
+rows at a time in numpy (_csv_text); a cell it cannot certify goes through
+'%.17g' itself.  JSON numbers are Python's shortest round-trip repr (0.1, not
 0.10000000000000001).  Both formats round-trip exactly, and identical inputs
 produce byte-identical outputs.
 """
@@ -56,9 +58,11 @@ EXIT_STATISTICAL = 4
 # their moduli); grids with more cells than this are rejected before any work.
 # The CSV scan is streamed, so this bounds the run time, not the memory.
 MAX_SCAN_CELLS = 1 << 26
+# independent holds its grid and the one-qubit stats of every grid point at once.
+MAX_INDEPENDENT_POINTS = 1 << 20
 # montecarlo builds a dynamical map and holds its 4**n complex elements: 268 MB at this cap.
 MAX_MAP_QUBITS = 6
-_CSV_BLOCK_ROWS = 1 << 10  # rows turned into Python floats and joined at a time
+_CSV_BLOCK_ROWS = 1 << 10  # rows formatted at a time
 
 
 class NonFiniteOutputError(ArithmeticError):
@@ -182,16 +186,111 @@ def _csv_lines(columns: dict):
 
 
 def _csv_rows(columns: dict):
-    """CSV rows of a name -> float column mapping, in blocks of rows.
-
-    Each block of rows becomes Python floats and one %-template formats a
-    whole row: the same text as _fmt per cell, without a call per numpy scalar.
-    """
-    line = ",".join(["%.17g"] * len(columns)) + "\n"
+    """CSV rows of a name -> float column mapping, one string per block of rows."""
     values = list(columns.values())
     for lo in range(0, len(values[0]), _CSV_BLOCK_ROWS):
-        block = [col[lo : lo + _CSV_BLOCK_ROWS].tolist() for col in values]
-        yield "".join(line % row for row in zip(*block))
+        block = [col[lo : lo + _CSV_BLOCK_ROWS] for col in values]
+        yield _csv_text(np.stack(block, axis=1).astype(np.float64, copy=False))
+
+
+# The ASCII digits of 0..9999, one column each, built in uint8 so that the import
+# allocates little more than the 40 kB table.
+_DIGITS4 = np.indices((10,) * 4, dtype=np.uint8).reshape(4, -1) + 48
+
+
+def _pow10(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+    """10**p for p in lo..hi as double-doubles: the nearest double, then the nearest to the rest."""
+    heads, tails = [], []
+    for p in range(lo, hi + 1):
+        if p >= 0:
+            head = float(10**p)  # int -> float and int / int round correctly
+            tail = float(10**p - int(head))
+        else:
+            head = 1 / 10**-p
+            num, den = head.as_integer_ratio()
+            tail = (den - num * 10**-p) / (den * 10**-p)
+        heads.append(head)
+        tails.append(tail)
+    return np.array(heads), np.array(tails)
+
+
+def _csv_text(block: np.ndarray) -> str:
+    """CSV text of a 2-D block of floats: each cell exactly as '%.17g' % x writes it.
+
+    A cell x with 1e-280 <= |x| < 1e280 gets its 17 digits D = round(|x|·10**p),
+    p = 16 - floor(log10|x|), from a double-double 10**p and an exact
+    (Dekker) product, within about 1e-14 of the true |x|·10**p.  %g's layout
+    then follows from masks: fixed notation for exponents -4 to 16, else
+    d.ddde±XX, trailing zeros dropped.  A cell that this cannot certify (0,
+    NaN, inf, outside that range, within 1e-9 of a rounding tie, or a D that
+    is not 17 digits because log10 was one off) is formatted by '%.17g'.
+    Byte k of every cell is row k of a table, zero where the cell has no byte
+    there; the zeros are dropped at the end.
+    """
+    x = block.ravel()
+    a = np.abs(x)
+    fast = (a >= 1e-280) & (a < 1e280)  # False on NaN
+    a = np.where(fast, a, 1.0)
+    e = np.floor(np.log10(a)).astype(np.int64)
+    p = 16 - e
+    lo = int(p.min())
+    heads, tails = _pow10(lo, int(p.max()))
+    head, tail = heads[p - lo], tails[p - lo]
+    # Dekker's exact product: |x|·head == big + err, from Veltkamp's 26+27-bit splits.
+    big = a * head
+    sa, sh = a * 134217729.0, head * 134217729.0
+    a1, h1 = sa - (sa - a), sh - (sh - head)
+    a2, h2 = a - a1, head - h1
+    err = ((a1 * h1 - big) + a1 * h2 + a2 * h1) + a2 * h2
+    frac = err + a * tail  # |x|·10**p - big, to about 1e-14
+    whole = np.rint(frac)
+    digits = big.astype(np.int64) + whole.astype(np.int64)
+    above = frac - whole  # |x|·10**p - digits
+    # Not a tie, and not 10**16 rounded up from below, which has one exponent less;
+    # with tail == err == 0 the product is exact (1.0, 10.0, ...).
+    fast &= (np.abs(above) < 0.5 - 1e-9) & (digits < 10**17)
+    fast &= (digits > 10**16) | ((digits == 10**16) & ((above > 1e-9) | (tail == 0) & (err == 0)))
+
+    # Rows of text: seven '0's, the 17 digits, four zero bytes.
+    text = np.zeros((28, x.size), np.uint8)
+    text[:7] = 48
+    top, rest = np.divmod(digits, 10**16)
+    text[7] = top + 48
+    high, low = np.divmod(rest, 10**8)
+    for row, group in zip((8, 12, 16, 20), (*np.divmod(high, 10**4), *np.divmod(low, 10**4))):
+        np.take(_DIGITS4, group, axis=1, out=text[row : row + 4])
+    significant = 17 - np.argmax(text[23:6:-1] != 48, axis=0).astype(np.uint8)
+    fixed = (e >= -4) & (e < 17)
+    zeros = np.where(fixed & (e < 0), -e, 0).astype(np.uint8)  # of 0.000ddd, the first included
+    before = np.where(fixed, np.maximum(e + 1, 1), 1).astype(np.uint8)  # digits before the point
+    keep = np.maximum(zeros + significant, before)  # integer digits stay, trailing zeros go
+    width = np.where(keep > before, keep + 1, before)
+    j = np.arange(22, dtype=np.uint8)[:, None]
+
+    buf = np.zeros((29, x.size), np.uint8)
+    buf[0] = np.where(x < 0, 45, 0)  # '-'
+    body = buf[1:23]
+    body[:18] = (text[7:25] * (j[:18] < before) + text[6:24] * (j[:18] > before)
+                 + (j[:18] == before) * np.uint8(46))  # the digits with '.' after `before` of them
+    for z in range(1, 5):  # 0.ddd to 0.000ddd
+        small = np.flatnonzero(zeros == z)
+        body[0, small] = 48
+        body[2:, small] = text[8 - z : 28 - z, small]
+    body *= j < width
+    exponent = ~fixed
+    buf[23] = exponent * np.uint8(101)  # 'e'
+    buf[24] = exponent * np.where(e < 0, 45, 43).astype(np.uint8)
+    buf[25:28] = np.take(_DIGITS4[1:], np.abs(e), axis=1) * exponent  # |e| <= 281
+    buf[25] *= np.abs(e) >= 100
+    slow = np.flatnonzero(~fast)
+    if slow.size:  # at most 24 bytes, zero-padded to 28
+        texts = np.array([b"%.17g" % v for v in x[slow].tolist()], dtype="S28")
+        buf[:28, slow] = texts.view(np.uint8).reshape(-1, 28).T
+    separators = buf[28].reshape(block.shape)
+    separators[:] = 44  # ','
+    separators[:, -1] = 10  # '\n'
+    cells = np.ascontiguousarray(buf.T)  # one row of bytes per cell, in output order
+    return cells[cells != 0].tobytes().decode("ascii")
 
 
 def _emit_json(out: str | None, obj) -> None:
@@ -302,8 +401,8 @@ def cmd_independent(config: argparse.Namespace) -> int:
     if not ns or not all(1 <= n <= MAX_CHANNELS for n in ns):
         raise ConfigError(f"--n-list {config.n_list!r} must name counts from 1 to {MAX_CHANNELS}")
     points = config.grid if config.grid is not None else 201
-    if points < 2:
-        raise ConfigError("--grid must be at least 2")
+    if not 2 <= points <= MAX_INDEPENDENT_POINTS:
+        raise ConfigError(f"--grid must be 2 to {MAX_INDEPENDENT_POINTS} points, got {points}")
     f_grid = np.linspace(0.0, 1.0, points)
     grid_blocks = [f_grid[lo : lo + _CSV_BLOCK_ROWS] for lo in range(0, points, _CSV_BLOCK_ROWS)]
     one_qubit = [independent_channels_stats(f, 1) for f in grid_blocks]  # shared by every n

@@ -401,8 +401,14 @@ def _connected_blocks(matrix: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]
         label = fallen
     # A component's label is the one column that keeps its own (np.unique would import numpy.ma).
     roots = np.flatnonzero(label == np.arange(label.size))
-    blocks = [(np.flatnonzero(row == c), np.flatnonzero(label == c)) for c in roots]
-    return [(rows, columns) for rows, columns in blocks if rows.size]
+    # One stable sort groups rows then columns by label, each in index order.
+    keys = np.concatenate([row, label])
+    order = np.argsort(keys, kind="stable")
+    starts = np.searchsorted(keys[order], roots)
+    ends = starts + np.bincount(keys, minlength=unreached + 1)[roots]
+    mids = starts + np.bincount(row, minlength=unreached + 1)[roots]
+    return [(order[lo:mid], order[mid:hi] - row.size)
+            for lo, mid, hi in zip(starts, mids, ends) if mid > lo]
 
 
 def fidelity_evaluator(m: DynamicalMap):

@@ -159,6 +159,8 @@ class ProtocolResult:
     times: np.ndarray
     fidelity: np.ndarray
     readout_times: np.ndarray
+    refinement_rounds: int  # scan_values calls that refined the lobes
+    lobe_rank: int  # the winning lobe's rank among the coarse local maxima, 1 for the best
 
 
 def find_optimal_time(
@@ -228,7 +230,9 @@ def find_optimal_time(
     offsets = offsets[np.argsort(np.abs(offsets), kind="stable")]
     centre, half = times[peaks], spacing
     resolution = np.spacing(max(abs(lo), abs(hi)))
+    rounds = 0
     while True:
+        rounds += 1
         grid = np.clip(centre[:, None] + half * offsets, lo, hi)
         f = scan_values(spec, n, grid.ravel()).reshape(grid.shape)
         best = np.argmax(f, axis=1)
@@ -236,7 +240,8 @@ def find_optimal_time(
         half *= 2.0 / (_REFINE_POINTS - 1)
         if half < resolution:
             break
-    t_best = float(centre[np.argmax(f.max(axis=1))])
+    winner = int(np.argmax(f.max(axis=1)))
+    t_best = float(centre[winner])
     f_best = float(scan_values(spec, n, np.array([t_best]))[0])
 
     readout = times[values >= 0.99 * f_best]
@@ -247,4 +252,6 @@ def find_optimal_time(
         times=times,
         fidelity=values,
         readout_times=readout,
+        refinement_rounds=rounds,
+        lobe_rank=winner + 1,
     )

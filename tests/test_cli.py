@@ -9,6 +9,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spintransfer import chain, cli, dynmap, fidelity, protocol
 from spintransfer.chain import ChainSpec, engineered_sender_coupling
@@ -125,6 +127,78 @@ def test_csv_rows_format_like_fmt_across_blocks():
     columns[0][:6] = [np.nan, np.inf, -np.inf, -0.0, 5e-324, 1e17]
     expected = "".join(",".join(map(cli._fmt, row)) + "\n" for row in zip(*columns))
     assert "".join(cli._csv_lines(dict(zip("xyz", columns)))) == "x,y,z\n" + expected
+
+
+def _fmt_rows(columns) -> str:
+    """CSV rows of float columns, one cli._fmt call per cell."""
+    return "".join(",".join(map(cli._fmt, row)) + "\n" for row in zip(*(c.tolist() for c in columns)))
+
+
+def _assert_csv_rows_match_fmt(columns) -> None:
+    got = "".join(cli._csv_rows({str(k): column for k, column in enumerate(columns)}))
+    assert got == _fmt_rows(columns)
+
+
+def test_csv_rows_match_fmt_on_random_bit_patterns():
+    """Uniform 64-bit patterns: every sign and exponent, NaN payloads, infinities and subnormals."""
+    bits = np.random.default_rng(31).integers(0, 2**64, size=(1 << 17, 8), dtype=np.uint64)
+    cells = bits.view(np.float64)
+    assert np.isnan(cells).any() and (np.abs(cells) < np.finfo(float).tiny).any()
+    _assert_csv_rows_match_fmt(list(cells.T))
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.lists(st.floats(), min_size=1, max_size=60), st.integers(1, 4))
+def test_csv_rows_match_fmt_on_any_floats(values, width):
+    rows = len(values) // width or 1
+    cells = np.resize(np.array(values, dtype=float), rows * width).reshape(rows, width)
+    _assert_csv_rows_match_fmt(list(cells.T))
+
+
+def _edge_floats() -> np.ndarray:
+    largest = np.finfo(float).max
+    values = [0.0, 5e-324, np.finfo(float).tiny, largest, np.inf, np.nan, 1e16, 1e17, 1e-280, 1e280]
+    values += list(range(1, 10_001)) + [2.0**53, 2.0**53 + 2, 2.0**63, 123456789012345678.0]
+    for k in range(-300, 300):
+        values.append(float(f"1e{k}"))
+    for base in (1e16, 1e17, 1e-280, 1e280, *(float(f"1e{k}") for k in range(-300, 300))):
+        values += [np.nextafter(base, 0.0), np.nextafter(base, np.inf)]
+    # odd * 2**-j: exact binary fractions, some of them ties at 17 digits (2**-25 rounds to even)
+    values += [odd * 2.0**j for odd in (1, 3, 5, 7, 9, 11, 13, 99, 12345) for j in range(-80, 80)]
+    cells = np.array(values)
+    return np.concatenate([cells, -cells])
+
+
+def test_csv_rows_match_fmt_on_edge_floats():
+    cells = _edge_floats()
+    assert "%.17g" % 2.0**-25 == "2.9802322387695312e-08"  # ...125 rounds half to even
+    cells = np.resize(cells, cells.size + (-cells.size) % 8).reshape(-1, 8)
+    _assert_csv_rows_match_fmt(list(cells.T))
+    _assert_csv_rows_match_fmt([cells.ravel()])  # the same floats, one per row
+
+
+@pytest.mark.parametrize("name", ["weak15-default", "eng18-50000"])
+def test_csv_rows_match_fmt_on_scan_columns(name):
+    """Every column of the weak15 default-grid scan and of the eng18 50,000-row scan."""
+    if name == "weak15-default":
+        spec = ChainSpec.weak_coupling(9, 3, 0.01)
+        points = None
+    else:
+        spec = ChainSpec.weak_coupling(10, 4, 0.01)
+        spec = spec.with_sender_coupling(engineered_sender_coupling(spec.wire_length, 2, 1))
+        points = 50_000
+    n = spec.block_size
+    report = chain.resonance_report(spec, n)
+    tmax = 1.2 * report.transfer_time
+    if points is None:
+        points = int(np.ceil(tmax / protocol.GRID_STEP)) + 1
+    rows = 0
+    for scan in protocol.scan_chunks(spec, n, np.linspace(0.0, tmax, points), report):
+        amplitudes = [np.abs(series) for series in scan.amplitudes.values()]
+        _assert_csv_rows_match_fmt([scan.times, scan.fidelity, scan.envelope,
+                                    scan.classical_term, scan.quantum_term, *amplitudes])
+        rows += scan.times.size
+    assert rows == points
 
 
 def test_failed_out_write_leaves_old_file(tmp_path):
@@ -325,6 +399,20 @@ def test_independent_computes_the_one_qubit_stats_once_per_grid_block(tmp_path, 
     assert run(["independent", "--n-list", "1,2,3,4", "--grid", points, "--out", out]) == 0
     # Two blocks of one-qubit stats, then one call per (n, block) for the full stats.
     assert calls == [1, 1] + [n for n in (1, 2, 3, 4) for _ in range(2)]
+
+
+def test_independent_grid_over_the_limit_exits_before_any_work(tmp_path, capsys, monkeypatch):
+    def no_stats(*args, **kwargs):
+        raise AssertionError("the grid was evaluated")
+
+    monkeypatch.setattr(cli, "independent_channels_stats", no_stats)
+    out = tmp_path / "ind.csv"
+    start = time.perf_counter()
+    assert run(["independent", "--grid", cli.MAX_INDEPENDENT_POINTS + 1, "--out", out]) == 2
+    assert time.perf_counter() - start < 5.0
+    err = capsys.readouterr().err
+    assert err.startswith("error: --grid") and str(cli.MAX_INDEPENDENT_POINTS) in err
+    assert not out.exists()
 
 
 def test_independent_channel_count_error_names_the_option(tmp_path, capsys):

@@ -662,6 +662,48 @@ def test_connected_blocks_of_a_pattern_with_its_diagonal_set_are_principal():
     assert ([5], [5]) in [(r.tolist(), c.tolist()) for r, c in blocks]
 
 
+def _connected_blocks_by_comprehension(matrix: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The labelling of _connected_blocks, grouped by one np.flatnonzero pass per component."""
+    mask = matrix != 0
+    label = np.arange(mask.shape[1])
+    unreached = mask.shape[1]
+    while True:
+        row = np.min(np.where(mask, label, unreached), axis=1, initial=unreached)
+        fallen = np.min(np.where(mask, row[:, None], label), axis=0, initial=unreached)
+        if np.array_equal(fallen, label):
+            break
+        label = fallen
+    roots = np.flatnonzero(label == np.arange(label.size))
+    blocks = [(np.flatnonzero(row == c), np.flatnonzero(label == c)) for c in roots]
+    return [(rows, columns) for rows, columns in blocks if rows.size]
+
+
+def _sparse_patterns():
+    for name, make in CHOI_MAPS.items():
+        choi = choi_matrix(make())
+        pattern = (choi != 0) | (choi.T != 0)
+        np.fill_diagonal(pattern, True)
+        yield name, pattern
+        yield name + "-raw", choi
+    yield "independent-n5-kraus", independent_channels_map(0.6, 5).kraus.reshape(32 * 32, -1)
+    rng = np.random.default_rng(31)
+    for k in range(20):
+        shape = tuple(rng.integers(1, 60, size=2))
+        yield f"random-{k}", rng.random(shape) < rng.uniform(0.0, 0.08)
+
+
+def test_connected_blocks_group_like_one_pass_per_component():
+    """The sorted grouping gives the blocks, in the order, of a flatnonzero pass per component."""
+    counts = {}
+    for name, pattern in _sparse_patterns():
+        got, want = _connected_blocks(pattern), _connected_blocks_by_comprehension(pattern)
+        assert len(got) == len(want), name
+        for (rows, columns), (rows_ref, columns_ref) in zip(got, want):
+            assert rows.tolist() == rows_ref.tolist() and columns.tolist() == columns_ref.tolist()
+        counts[name] = len(got)
+    assert counts["independent-n5-kraus"] == 32
+
+
 def _perturbed(m: DynamicalMap, changes: dict) -> DynamicalMap:
     """A map given by its elements alone: m's, plus each value of changes at its index [i, j, n, m]."""
     a = m.as_tensor().copy()
@@ -915,6 +957,8 @@ def test_array_holding_dataclasses_compare_and_hash_by_identity():
             times=np.zeros(2),
             fidelity=np.ones(2),
             readout_times=np.zeros(1),
+            refinement_rounds=1,
+            lobe_rank=1,
         ),
         lambda: FidelityStats.from_moments(np.full(2, 0.5), np.full(2, 0.3)),
     ]

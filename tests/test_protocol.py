@@ -359,3 +359,20 @@ def test_fidelity_scan_join_holds_about_one_result():
     columns = (scan.times, scan.fidelity, scan.classical_term, scan.quantum_term, scan.envelope)
     size = sum(a.nbytes for a in (*columns, *scan.amplitudes.values()))
     assert peak <= 1.3 * size, f"peak {peak / size:.2f} results"
+
+
+@pytest.mark.parametrize("spec", _SEARCH_CHAINS.values(), ids=_SEARCH_CHAINS.keys())
+def test_search_reports_its_refinement_rounds_and_winning_lobe(spec):
+    """The winning lobe's coarse rank is the margin K = 32 lobes leave; the rounds follow from hi."""
+    res = find_optimal_time(spec, spec.block_size)
+    assert 1 <= res.lobe_rank <= 5
+    spacing = res.times[1] - res.times[0]
+    resolution = np.spacing(res.times[-1])
+    # The half-width starts at the coarse spacing and falls to a quarter per round below resolution.
+    assert spacing * 0.25 ** res.refinement_rounds < resolution <= spacing * 0.25 ** (
+        res.refinement_rounds - 1)
+
+
+def test_search_rounds_on_the_default_chains_are_pinned():
+    assert find_optimal_time(WEAK_15, 3).refinement_rounds == 17
+    assert find_optimal_time(ENG_18, 4).refinement_rounds == 18
