@@ -62,6 +62,9 @@ MAX_SCAN_CELLS = 1 << 26
 MAX_INDEPENDENT_POINTS = 1 << 20
 # montecarlo builds a dynamical map and holds its 4**n complex elements: 268 MB at this cap.
 MAX_MAP_QUBITS = 6
+# montecarlo holds every sample, then their squares and a std temporary, 8 bytes each: a
+# 0.43 GB peak resident size at this cap (n = 1 and 3).
+MAX_MC_SAMPLES = 1 << 24
 _CSV_BLOCK_ROWS = 1 << 10  # rows formatted at a time
 
 
@@ -453,8 +456,8 @@ def cmd_montecarlo(config: argparse.Namespace) -> int:
         raise ConfigError("--seed is mandatory for Monte Carlo runs")
     if config.seed < 0:
         raise ConfigError(f"--seed must be non-negative, got {config.seed}")
-    if config.samples < 1:
-        raise ConfigError("--samples must be positive")
+    if not 1 <= config.samples <= MAX_MC_SAMPLES:
+        raise ConfigError(f"--samples must be 1 to {MAX_MC_SAMPLES}, got {config.samples}")
 
     sources = [config.identity, config.amplitude is not None, config.spec is not None]
     if sum(sources) != 1:

@@ -3,8 +3,8 @@
 Two routes are implemented: directly from dynamical-map elements (any map),
 and from the block transfer amplitudes of a chain (exact for zero
 anisotropy).  The Haar average joins the input's kets to its bras in every
-way: the mean sums the 2 S2 pairing contractions of the map, the second
-moment the 24 S4 pairing contractions of two copies of it.
+way: the mean sums the 2 S2 pairing contractions of the map, the variance
+the 24 S4 pairing contractions of two copies of the centred map E - mu id.
 """
 
 from __future__ import annotations
@@ -23,24 +23,25 @@ from .errors import MapValidationError
 
 @dataclass(frozen=True, eq=False)
 class FidelityStats:
-    """First two moments of fidelity distributions and their dispersion: numbers, or arrays."""
+    """Mean and variance of fidelity distributions, checked and clamped: numbers, or arrays."""
 
     mean: float | np.ndarray
-    second_moment: float | np.ndarray
     variance: float | np.ndarray
-    cv: float | np.ndarray
 
-    @classmethod
-    def from_moments(cls, mean, second_moment) -> "FidelityStats":
-        """Stats from the first two moments, checked and clamped entrywise."""
-        if not np.all((0.0 < mean) & (mean <= 1.0 + 1e-9)):
-            raise ValueError(f"mean fidelity must lie in (0, 1], got {mean}")
-        variance = second_moment - mean**2
-        if not np.all(variance >= -1e-12):  # a NaN second moment fails too
-            raise ValueError(f"second moment {second_moment} below mean^2 {mean ** 2}")
-        variance = np.maximum(variance, 0.0)
-        cv = np.sqrt(np.maximum(second_moment / mean**2 - 1.0, 0.0))
-        return cls(mean=mean, second_moment=second_moment, variance=variance, cv=cv)
+    def __post_init__(self):
+        if not np.all((0.0 < self.mean) & (self.mean <= 1.0 + 1e-9)):
+            raise ValueError(f"mean fidelity must lie in (0, 1], got {self.mean}")
+        if not np.all(self.variance >= -1e-12):  # a NaN variance fails too
+            raise ValueError(f"variance must be non-negative, got {self.variance}")
+        object.__setattr__(self, "variance", np.maximum(self.variance, 0.0))
+
+    @property
+    def second_moment(self):
+        return self.variance + self.mean**2
+
+    @property
+    def cv(self):
+        return np.sqrt(self.variance) / self.mean
 
 
 def _validated_tensor(m: DynamicalMap) -> np.ndarray:
@@ -61,10 +62,6 @@ def _s2_terms(a: np.ndarray) -> np.ndarray:
 
 def _mean(a: np.ndarray, d: int) -> float:
     return float(np.sum(_s2_terms(a)).real / (d * (d + 1)))
-
-
-def _second_moment(a: np.ndarray, d: int) -> float:
-    return float(np.sum(_pairing_terms(a)).real / (d * (d + 1) * (d + 2) * (d + 3)))
 
 
 def avg_fidelity_from_map(m: DynamicalMap) -> float:
@@ -111,19 +108,23 @@ def _pairing_terms(a: np.ndarray) -> np.ndarray:
 
 
 def second_moment_from_map(m: DynamicalMap) -> float:
-    """Haar average of the squared fidelity of a map.
-
-    Eighth-order moments of Haar coefficients contract the map against itself
-    in the 24 ways of _pairing_terms; E[F^2] is their sum over
-    d(d+1)(d+2)(d+3).
-    """
-    return _second_moment(_validated_tensor(m), m.d)
+    """Haar average of the squared fidelity of a map: stats_from_map's variance + mean^2."""
+    return stats_from_map(m).second_moment
 
 
 def stats_from_map(m: DynamicalMap) -> FidelityStats:
-    """Mean, second moment, variance and CV of a map's fidelity distribution, validated once."""
-    a = _validated_tensor(m)
-    return FidelityStats.from_moments(_mean(a, m.d), _second_moment(a, m.d))
+    """Mean and variance of a map's fidelity distribution, validated once.
+
+    F - mu is the fidelity of the centred map E - mu id (id gives F = 1), so the
+    24 pairings of it over d(d+1)(d+2)(d+3) are E[(F - mu)^2] = Var + (E[F] - mu)^2:
+    no E[F^2] - mu^2 cancellation, and mu's rounding costs only (eps mu)^2.
+    """
+    d = m.d
+    mean = _mean(_validated_tensor(m), d)
+    centred = m.elements.copy()  # the identity map is the d^2 x d^2 identity matrix
+    centred.reshape(-1)[:: d * d + 1] -= mean  # its diagonal
+    terms = _pairing_terms(centred.reshape(d, d, d, d))
+    return FidelityStats(mean, float(np.sum(terms).real / (d * (d + 1) * (d + 2) * (d + 3))))
 
 
 # ---------------------------------------------------------------------------
@@ -196,15 +197,15 @@ def independent_channels_fidelity(f, n: int):
 def independent_channels_stats(f, n: int) -> FidelityStats:
     """Fidelity statistics of n identical independent channels: arrays over the amplitudes f.
 
-    The second moment is sum_sigma s_sigma(f)^n / (d(d+1)(d+2)(d+3)), d = 2^n,
-    where s_sigma(f) are the 24 pairing terms of the one-qubit map: each term
-    factorises over the channels, so no n-qubit map is built.
+    The second moment is sum_sigma s_sigma(f)^n / (d(d+1)(d+2)(d+3)), d = 2^n: the 24
+    one-qubit pairing terms s_sigma(f) factorise over channels, so no n-qubit map is
+    built.  The four x x terms, (d(d+1) mean)^2, net out: (d+2)(d+3) - d(d+1) = 4d + 6.
     """
     mean = independent_channels_fidelity(f, n)  # checks f and n
-    terms = _pairing_terms(one_qubit_tensors(f))
+    terms = _pairing_terms(one_qubit_tensors(f))[..., 4:]
     d = 2**n
-    second = np.sum(terms**n, axis=-1).real / (d * (d + 1) * (d + 2) * (d + 3))
-    return FidelityStats.from_moments(mean, second)
+    rest = np.sum(terms**n, axis=-1).real - d * (d + 1) * (4 * d + 6) * mean**2
+    return FidelityStats(mean, rest / (d * (d + 1) * (d + 2) * (d + 3)))
 
 
 def product_ratio_vs_amplitude(f, n: int):
@@ -248,10 +249,9 @@ def product_ratio_vs_fidelity(F, n: int):
 def product_state_stats(one_qubit_stats: FidelityStats, n: int) -> FidelityStats:
     """Fidelity statistics over product-state inputs of n independent channels, entrywise.
 
-    Factorisation over channels turns moments into powers:
-    <F> = <F_1>^n and <F^2> = <F_1^2>^n.
+    Factorisation over channels turns moments into powers, <F> = <F_1>^n and
+    <F^2> = <F_1^2>^n, so Var = <F_1>^(2n) expm1(n log1p(Var_1 / <F_1>^2)).
     """
     _check_channel_count(n)
-    return FidelityStats.from_moments(
-        np.power(one_qubit_stats.mean, n), np.power(one_qubit_stats.second_moment, n)
-    )
+    m1, v1 = one_qubit_stats.mean, one_qubit_stats.variance
+    return FidelityStats(np.power(m1, n), np.power(m1, 2 * n) * np.expm1(n * np.log1p(v1 / m1**2)))

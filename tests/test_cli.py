@@ -6,6 +6,7 @@ import stat
 import subprocess
 import sys
 import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -437,6 +438,19 @@ def test_independent_reaches_the_float_range_of_its_closed_forms(tmp_path):
     assert set(table["n"]) == {1.0, 255.0}
 
 
+def test_independent_prints_the_coefficient_of_variation_of_many_channels(tmp_path):
+    """cv at f = 0.75 against exact rational values: 2^-26 of rounding (n = 64) and 0 (n = 255)
+    came from second - mean^2 before the variance was netted exactly."""
+    out = tmp_path / "ind.csv"
+    assert run(["independent", "--n-list", "64,255", "--grid", 5, "--out", out]) == 0
+    header, *lines = out.read_text().splitlines()
+    rows = [dict(zip(header.split(","), map(float, ln.split(",")))) for ln in lines]
+    cv = {row["n"]: row["cv"] for row in rows if row["f"] == 0.75}
+    assert cv[64.0] == pytest.approx(7.5712628645220365e-10, rel=1e-12, abs=0)
+    assert cv[255.0] == pytest.approx(1.089231133904966e-37, rel=1e-12, abs=0)
+    assert all(row["variance_full"] > 0.0 for row in rows if row["n"] == 255 and row["f"] < 1.0)
+
+
 def test_independent_writes_the_amplitude_ratio_as_R_F(tmp_path):
     """F_n fixes the real amplitude f, so the ratio at fixed F_n is the ratio at f, bit for bit."""
     out = tmp_path / "ind.json"
@@ -515,6 +529,22 @@ def test_montecarlo_time_must_be_finite(weak15, tmp_path, monkeypatch, capsys, t
                 "--out", out]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: --t") and err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("samples", [0, cli.MAX_MC_SAMPLES + 1])
+def test_montecarlo_sample_count_outside_its_range_exits_before_any_map(
+    tmp_path, monkeypatch, capsys, samples
+):
+    def no_map(*args, **kwargs):
+        raise AssertionError("a map was built")
+
+    monkeypatch.setattr(cli, "identity_map", no_map)
+    out = tmp_path / "mc.json"
+    assert run(["montecarlo", "--identity", "--n", 1, "--samples", samples, "--seed", 1,
+                "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --samples") and str(cli.MAX_MC_SAMPLES) in err
     assert not out.exists()
 
 
@@ -639,7 +669,7 @@ def test_json_and_csv_tables_agree(weak15, tmp_path, argv):
 
 def test_non_finite_json_value_is_a_numerical_failure(tmp_path, monkeypatch):
     """Strict JSON has no NaN: the command exits 3 and writes no --out file."""
-    nan_mean = fidelity.FidelityStats(mean=math.nan, second_moment=1.0, variance=0.0, cv=0.0)
+    nan_mean = SimpleNamespace(mean=math.nan, second_moment=1.0)  # FidelityStats rejects a NaN mean
     monkeypatch.setattr(cli, "stats_from_map", lambda m: nan_mean)
     out = tmp_path / "mc.json"
     assert run(["montecarlo", "--identity", "--n", 1, "--samples", 10, "--seed", 1,

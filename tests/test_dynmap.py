@@ -960,7 +960,7 @@ def test_array_holding_dataclasses_compare_and_hash_by_identity():
             refinement_rounds=1,
             lobe_rank=1,
         ),
-        lambda: FidelityStats.from_moments(np.full(2, 0.5), np.full(2, 0.3)),
+        lambda: FidelityStats(np.full(2, 0.5), np.full(2, 0.05)),
     ]
     for make in factories:
         a, b = make(), make()

@@ -6,13 +6,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from helpers import free_fermion_chains, haar_moments_by_pairings
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from spintransfer import dynmap, fidelity
 from spintransfer.amplitudes import TransferAmplitudeSet, chain_transition_matrix, transfer_amplitudes
 from spintransfer.basis import subsets_by_excitation
-from spintransfer.chain import ChainSpec
+from spintransfer.chain import ChainSpec, engineered_sender_coupling
 from spintransfer.dynmap import (
     DynamicalMap,
     classical_transfer_map,
@@ -338,7 +338,7 @@ def test_fidelity_inversion_rejects_fidelities_outside_its_range(F):
 
 
 def test_product_state_variance():
-    stats = FidelityStats.from_moments(0.8, 0.64)  # deterministic fidelity
+    stats = FidelityStats(0.8, 0.0)  # deterministic fidelity
     assert product_state_stats(stats, 4).variance == pytest.approx(0.0, abs=1e-12)
     one = stats_from_map(one_qubit_map(0.8))
     assert product_state_stats(one, 1).variance == pytest.approx(one.variance, abs=1e-15)
@@ -453,19 +453,111 @@ def test_independent_channels_stats_against_exact_rationals():
                 assert abs(stats.cv[k] - math.sqrt(m2 / mean**2 - 1)) <= 1e-12
 
 
+_TWENTIETHS = np.arange(1, 20) / 20.0  # f = 0.05, 0.10, ..., 0.95
+
+
+def _one_qubit_rationals(f: float) -> tuple[np.ndarray, np.ndarray]:
+    """Exact one-qubit pairing terms of a real amplitude f: (the 2 S2 terms, the 24 S4 terms).
+
+    one_qubit_tensors on an object array of Fractions, so raising the terms to
+    the n and summing them gives n channels' exact moments.
+    """
+    x = Fraction(float(f))
+    a = np.full((2, 2, 2, 2), Fraction(0), dtype=object)
+    a[0, 0, 0, 0], a[0, 0, 1, 1], a[1, 1, 1, 1] = Fraction(1), 1 - x * x, x * x
+    a[0, 1, 0, 1] = a[1, 0, 1, 0] = x
+    return fidelity._s2_terms(a), fidelity._pairing_terms(a)
+
+
+def _exact_channel_stats(f: float, n: int) -> tuple[Fraction, Fraction]:
+    """Mean and variance of n independent channels with real amplitude f, in rationals."""
+    s2, s4 = _one_qubit_rationals(f)
+    d = 2**n
+    mean = sum(s**n for s in s2) / (d * (d + 1))
+    return mean, sum(s**n for s in s4) / (d * (d + 1) * (d + 2) * (d + 3)) - mean**2
+
+
+def _relative_error(value: float, exact: Fraction) -> float:
+    return abs(float((Fraction(float(value)) - exact) / exact))
+
+
+@pytest.mark.parametrize("n", [8, 32, 64, 128, 255])
+def test_independent_channels_variance_is_exact_to_the_last_digits(n):
+    """The x x terms are netted against mean^2 exactly: no second - mean^2 cancellation is left."""
+    stats = independent_channels_stats(_TWENTIETHS, n)
+    for f, variance in zip(_TWENTIETHS, stats.variance):
+        assert _relative_error(variance, _exact_channel_stats(f, n)[1]) <= 1e-12, f
+
+
+def test_product_state_variance_is_exact_to_the_last_digits():
+    """expm1 and log1p give m1^(2n) ((1 + v1/m1^2)^n - 1) to the rounding of its inputs."""
+    amplitudes = np.append(_TWENTIETHS, 0.999)
+    exact = [_exact_channel_stats(f, 1) for f in amplitudes]
+    one = FidelityStats(*np.array(exact, dtype=float).T)
+    for n in (8, 32, 64, 128, 255):
+        product = product_state_stats(one, n)
+        for f, m1, v1, variance in zip(amplitudes, one.mean, one.variance, product.variance):
+            m1, v1 = Fraction(float(m1)), Fraction(float(v1))
+            assert _relative_error(variance, (v1 + m1**2) ** n - m1 ** (2 * n)) <= 1e-12, (n, f)
+
+
+def _clongdouble_stats(m: DynamicalMap, centred: bool) -> tuple[float, float]:
+    """A map's mean and variance from its elements in extended precision, centred or not."""
+    d = m.d
+    a = m.elements.astype(np.clongdouble)
+    mean = np.sum(fidelity._s2_terms(a.reshape(d, d, d, d))).real / (d * (d + 1))
+    if centred:
+        a.flat[:: d * d + 1] -= mean
+    second = np.sum(fidelity._pairing_terms(a.reshape(d, d, d, d))).real / (
+        d * (d + 1) * (d + 2) * (d + 3)
+    )
+    return mean, second if centred else second - mean**2
+
+
+def test_map_variance_at_the_optima_matches_extended_precision():
+    """weak15 at t* keeps 8 digits of its 5.5e-9 variance through second - mean^2; centred, all."""
+    weak15 = ChainSpec.weak_coupling(wire_length=9, n=3, J0=0.01)
+    eng18 = ChainSpec.weak_coupling(
+        wire_length=10, n=4, J0=0.01, sender_coupling=engineered_sender_coupling(10, k=2, s=1)
+    )
+    for spec, n, t in [
+        (weak15, 3, 178430.61290168986),
+        (eng18, 4, 77653.07229995633),
+        (ChainSpec.uniform(10, n=5), 5, 7.3),
+    ]:
+        m = map_from_evolution(spec, n, t)
+        variance = _clongdouble_stats(m, centred=True)[1]
+        assert abs(stats_from_map(m).variance - variance) <= 1e-12 * variance, spec.N
+
+
+@settings(derandomize=True, deadline=None, max_examples=30)
+@given(data=st.data(), t=st.floats(0.0, 50.0))
+def test_centred_map_variance_is_second_moment_less_mean_squared(data, t):
+    """Where the variance is large nothing cancels, so the centred pairing sum must equal
+    the uncentred second - mean^2 of extended precision: the identity behind the centring."""
+    n = data.draw(st.integers(1, 4))
+    spec, _ = data.draw(free_fermion_chains(st.integers(max(4, 2 * n), 10), lambda N: st.just(n)))
+    m = map_from_evolution(spec, n, t)
+    mean, variance = _clongdouble_stats(m, centred=False)
+    assume(variance >= 1e-3)
+    stats = stats_from_map(m)
+    assert abs(stats.mean - mean) <= 1e-14
+    assert abs(stats.variance - variance) <= 1e-12 * variance
+
+
 def test_stats_and_cv():
-    stats = FidelityStats.from_moments(0.5, 1.0 / 3.0)
+    stats = FidelityStats(0.5, 1.0 / 12.0)  # second moment 1/3
     assert stats.cv == pytest.approx(math.sqrt(1.0 / 3.0), abs=1e-12)
-    exact = FidelityStats.from_moments(1.0, 1.0)
+    exact = FidelityStats(1.0, 0.0)
     assert exact.variance == 0.0
     assert exact.cv == 0.0
     with pytest.raises(ValueError):
-        FidelityStats.from_moments(0.0, 0.0)
+        FidelityStats(0.0, 0.0)
     with pytest.raises(ValueError):
-        FidelityStats.from_moments(0.5, 0.2)  # second moment below mean^2
-    for mean, second_moment in [(math.nan, 0.5), (0.5, math.nan), ([0.5, 0.5], [0.3, math.nan])]:
+        FidelityStats(0.5, -0.05)  # second moment 0.2, below mean^2
+    for mean, variance in [(math.nan, 0.25), (0.5, math.nan), ([0.5, 0.5], [0.05, math.nan])]:
         with pytest.raises(ValueError):
-            FidelityStats.from_moments(np.asarray(mean), np.asarray(second_moment))
+            FidelityStats(np.asarray(mean), np.asarray(variance))
 
 
 def test_cv_decreases_towards_perfect_transfer():
@@ -475,5 +567,5 @@ def test_cv_decreases_towards_perfect_transfer():
 
 
 def test_variance_clamp():
-    stats = FidelityStats.from_moments(1.0, 1.0 - 1e-13)
+    stats = FidelityStats(1.0, -1e-13)  # second moment 1 - 1e-13
     assert stats.variance == 0.0
