@@ -186,6 +186,19 @@ def _check_channel_count(n: int) -> None:
         raise ValueError(f"channel count must be 1 to {MAX_CHANNELS}, got {n}")
 
 
+def _integer_power(z: np.ndarray, n: int) -> np.ndarray:
+    """z**n by squaring over the bits of n, as numpy's ** does only below n = 100: above, it
+    takes exp(n log z), whose rounding leaves perfect channels a nonzero variance."""
+    out = np.ones_like(z)
+    while True:
+        if n & 1:
+            out = out * z
+        n >>= 1
+        if not n:
+            return out
+        z = z * z
+
+
 def independent_channels_fidelity(f, n: int):
     """Average fidelity of n qubits sent through identical independent channels, entrywise in f."""
     f = _checked_amplitudes(f)
@@ -204,7 +217,7 @@ def independent_channels_stats(f, n: int) -> FidelityStats:
     mean = independent_channels_fidelity(f, n)  # checks f and n
     terms = _pairing_terms(one_qubit_tensors(f))[..., 4:]
     d = 2**n
-    rest = np.sum(terms**n, axis=-1).real - d * (d + 1) * (4 * d + 6) * mean**2
+    rest = np.sum(_integer_power(terms, n), axis=-1).real - d * (d + 1) * (4 * d + 6) * mean**2
     return FidelityStats(mean, rest / (d * (d + 1) * (d + 2) * (d + 3)))
 
 

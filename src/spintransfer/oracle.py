@@ -72,18 +72,22 @@ class McResult:
     seed: int
 
     @classmethod
-    def from_values(cls, values: np.ndarray, seed: int) -> "McResult":
-        """Sample means of F and F^2 with their standard errors."""
-        squares = values**2
-        root_n = np.sqrt(values.size)
-        return cls(
-            samples=int(values.size),
-            mean=float(values.mean()),
-            second_moment=float(squares.mean()),
-            std_error_mean=float(values.std() / root_n),
-            std_error_second_moment=float(squares.std() / root_n),
-            seed=seed,
-        )
+    def from_chunks(cls, chunks, seed: int) -> "McResult":
+        """Sample means of F and F^2 with their standard errors, keeping no chunk of F.
+
+        Each chunk's count, means and centred sums of squares join the totals by the pairwise
+        update of Chan, Golub & LeVeque, exact from zero: one chunk gives numpy's mean and std.
+        """
+        n, mean, m2 = 0, 0.0, 0.0
+        for chunk in chunks:
+            x = np.stack([chunk, chunk**2])
+            k, chunk_mean = chunk.size, x.mean(axis=1)
+            delta = chunk_mean - mean
+            mean = mean + delta * (k / (n + k))
+            m2 = m2 + np.square(x - chunk_mean[:, None]).sum(axis=1) + delta**2 * (n * k / (n + k))
+            n += k
+        sem = np.sqrt(m2 / n) / math.sqrt(n)
+        return cls(n, float(mean[0]), float(mean[1]), float(sem[0]), float(sem[1]), seed)
 
 
 # ---------------------------------------------------------------------------
@@ -252,31 +256,32 @@ def _chunk_size(d: int) -> int:
     return max(1024, 2_000_000 // (d * d))
 
 
+def _fidelity_chunks(evaluator, d: int, samples: int, seed: int, product_of: int | None):
+    """Fidelities of successive chunks of Haar (or product) inputs, one array per chunk."""
+    if samples < 1:
+        raise ValueError("need at least one sample")
+    rng = np.random.default_rng(seed)
+    draw, size = (haar_states, d) if product_of is None else (product_states, product_of)
+    for start in range(0, samples, _chunk_size(d)):
+        batch = min(samples - start, _chunk_size(d))
+        yield np.asarray(evaluator(draw(size, batch, rng)), dtype=float)
+
+
 def sample_fidelity_values(
     evaluator, d: int, samples: int, seed: int, *, product_of: int | None = None
 ) -> np.ndarray:
     """Raw fidelity samples; `product_of` restricts the input ensemble to product states."""
-    if samples < 1:
-        raise ValueError("need at least one sample")
-    rng = np.random.default_rng(seed)
-    chunks = []
-    left = samples
-    while left > 0:
-        batch = min(left, _chunk_size(d))
-        if product_of is None:
-            states = haar_states(d, batch, rng)
-        else:
-            states = product_states(product_of, batch, rng)
-        chunks.append(np.asarray(evaluator(states), dtype=float))
-        left -= batch
-    return np.concatenate(chunks)
+    return np.concatenate(list(_fidelity_chunks(evaluator, d, samples, seed, product_of)))
 
 
-def haar_sample_fidelity(evaluator, d: int, samples: int, seed: int) -> McResult:
+def haar_sample_fidelity(
+    evaluator, d: int, samples: int, seed: int, *, product_of: int | None = None
+) -> McResult:
     """Estimate mean and second moment of a fidelity over Haar-random pure inputs.
 
     `evaluator` receives a (batch, d) array of state rows and returns the
     fidelity of each; the generator state is PCG64 seeded as given, so results
-    are reproducible bit for bit.
+    are reproducible bit for bit.  `product_of` = n draws products of n Haar-random
+    qubits instead.  Each chunk is summarised as drawn, so memory stays flat in `samples`.
     """
-    return McResult.from_values(sample_fidelity_values(evaluator, d, samples, seed), seed)
+    return McResult.from_chunks(_fidelity_chunks(evaluator, d, samples, seed, product_of), seed)

@@ -449,6 +449,10 @@ def test_independent_prints_the_coefficient_of_variation_of_many_channels(tmp_pa
     assert cv[64.0] == pytest.approx(7.5712628645220365e-10, rel=1e-12, abs=0)
     assert cv[255.0] == pytest.approx(1.089231133904966e-37, rel=1e-12, abs=0)
     assert all(row["variance_full"] > 0.0 for row in rows if row["n"] == 255 and row["f"] < 1.0)
+    # Perfect channels have no spread, also for n >= 100, where numpy's ** takes exp(n log z).
+    perfect = [row for row in rows if row["f"] == 1.0]
+    assert sorted(row["n"] for row in perfect) == [64.0, 255.0]
+    assert all(row["variance_full"] == 0.0 and row["cv"] == 0.0 for row in perfect)
 
 
 def test_independent_writes_the_amplitude_ratio_as_R_F(tmp_path):

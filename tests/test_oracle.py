@@ -13,6 +13,7 @@ from helpers import (
     receiver_fidelity,
     sector_hamiltonian,
 )
+from spintransfer import oracle
 from spintransfer.amplitudes import chain_transition_matrix, multi_amplitude, transition_matrix
 from spintransfer.basis import excitation_sector
 from spintransfer.chain import ChainSpec, spectral
@@ -20,8 +21,8 @@ from spintransfer.dynmap import fidelity_evaluator, map_from_evolution, one_qubi
 from spintransfer.errors import DimensionCapError
 from spintransfer.fidelity import avg_fidelity_from_map
 from spintransfer.oracle import (
-    McResult,
     PureState,
+    _chunk_size,
     _reduction,
     _sector,
     evolve_block,
@@ -317,6 +318,8 @@ def test_sampling_needs_a_sample():
     for samples in (0, -3):
         with pytest.raises(ValueError, match="at least one sample"):
             sample_fidelity_values(evaluator, 2, samples, seed=1)
+        with pytest.raises(ValueError, match="at least one sample"):
+            haar_sample_fidelity(evaluator, 2, samples, seed=1)
 
 
 def test_receiver_tensor_rejects_a_block_the_spec_does_not_have():
@@ -366,9 +369,52 @@ def test_mc_result_invariants_and_reproducibility():
 
 
 def test_constant_evaluator():
-    res = haar_sample_fidelity(lambda s: np.ones(len(s)), 4, 1000, seed=0)
-    assert res.mean == 1.0
-    assert res.std_error_mean == 0.0
+    for samples in (1000, 2 * _chunk_size(4) + 1):  # one chunk, then three
+        res = haar_sample_fidelity(lambda s: np.ones(len(s)), 4, samples, seed=0)
+        assert res.mean == 1.0
+        assert res.std_error_mean == 0.0
+        assert res.std_error_second_moment == 0.0
+
+
+@pytest.mark.parametrize(
+    "samples, product_of, rel",
+    [(5000, None, 0.0), (20_000, 3, 0.0), (3 * _chunk_size(8) + 7, None, 1e-15),
+     (4 * _chunk_size(8), 3, 1e-15)],
+)
+def test_streamed_summary_matches_numpy_on_the_concatenated_samples(samples, product_of, rel):
+    """Within one chunk the summary is numpy's to the bit; merged chunks agree to 1e-15."""
+    from spintransfer.dynmap import independent_channels_map
+
+    ev = fidelity_evaluator(independent_channels_map(0.7, 3))
+    values = sample_fidelity_values(ev, 8, samples, 11, product_of=product_of)
+    res = haar_sample_fidelity(ev, 8, samples, 11, product_of=product_of)
+    squares = values**2
+    root_n = np.sqrt(values.size)
+    assert res.samples == samples
+    for got, want in [
+        (res.mean, values.mean()),
+        (res.second_moment, squares.mean()),
+        (res.std_error_mean, values.std() / root_n),
+        (res.std_error_second_moment, squares.std() / root_n),
+    ]:
+        assert got == pytest.approx(want, rel=rel, abs=0)
+
+
+def test_streamed_summary_holds_one_chunk_at_a_time(monkeypatch):
+    monkeypatch.setattr(oracle, "_chunk_size", lambda d: 1000)
+    ev = fidelity_evaluator(one_qubit_map(0.6))
+
+    def peak(samples):
+        tracemalloc.start()
+        try:
+            haar_sample_fidelity(ev, 2, samples, seed=4)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    haar_sample_fidelity(ev, 2, 1, seed=4)  # the first call imports modules lazily
+    few, many = peak(10_000), peak(200_000)
+    assert many <= 1.1 * few  # about 203 kB each; keeping the samples made 200 chunks 4.8 MB
 
 
 def test_haar_moments_small():
@@ -395,7 +441,7 @@ def test_sem_scales_as_inverse_sqrt_samples():
 def test_product_sampler_single_qubit_matches_haar():
     ev = fidelity_evaluator(one_qubit_map(0.7))
     full = haar_sample_fidelity(ev, 2, 100_000, seed=13)
-    prod = McResult.from_values(sample_fidelity_values(ev, 2, 100_000, 14, product_of=1), 14)
+    prod = haar_sample_fidelity(ev, 2, 100_000, 14, product_of=1)
     sem = np.hypot(full.std_error_mean, prod.std_error_mean)
     assert abs(full.mean - prod.mean) <= 4 * sem
 
@@ -405,9 +451,7 @@ def test_product_sampler_mean_factorises():
 
     m = independent_channels_map(0.8, 2)
     single = avg_fidelity_from_map(one_qubit_map(0.8))
-    res = McResult.from_values(
-        sample_fidelity_values(fidelity_evaluator(m), 4, 100_000, 3, product_of=2), 3
-    )
+    res = haar_sample_fidelity(fidelity_evaluator(m), 4, 100_000, 3, product_of=2)
     assert abs(res.mean - single**2) <= 4 * res.std_error_mean
 
 
