@@ -223,13 +223,13 @@ def _csv_text(block: np.ndarray) -> str:
 
     A cell x with 1e-280 <= |x| < 1e280 gets its 17 digits D = round(|x|·10**p),
     p = 16 - floor(log10|x|), from a double-double 10**p and an exact
-    (Dekker) product, within about 1e-14 of the true |x|·10**p.  %g's layout
-    then follows from masks: fixed notation for exponents -4 to 16, else
-    d.ddde±XX, trailing zeros dropped.  A cell that this cannot certify (0,
-    NaN, inf, outside that range, within 1e-9 of a rounding tie, or a D that
-    is not 17 digits because log10 was one off) is formatted by '%.17g'.
-    Byte k of every cell is row k of a table, zero where the cell has no byte
-    there; the zeros are dropped at the end.
+    (Dekker) product, within about 1e-14 of the true |x|·10**p.  A cell that
+    this cannot certify (0, NaN, inf, outside that range, within 1e-9 of a
+    rounding tie, or a D that is not 17 digits because log10 was one off) is
+    formatted by '%.17g'.  Byte k of every cell is row k of a table (zero where
+    the cell has no byte there, dropped at the end), built by whole-row
+    arithmetic over all cells, digit rows times 0/1 masks, as %g lays it out:
+    fixed notation for exponents -4 to 16, else d.ddde±XX, no trailing zeros.
     """
     x = block.ravel()
     a = np.abs(x)
@@ -258,12 +258,16 @@ def _csv_text(block: np.ndarray) -> str:
     # Rows of text: seven '0's, the 17 digits, four zero bytes.
     text = np.zeros((28, x.size), np.uint8)
     text[:7] = 48
-    top, rest = np.divmod(digits, 10**16)
+    top = digits // 10**16  # numpy divides by a constant multiplier with //, not with divmod
     text[7] = top + 48
-    high, low = np.divmod(rest, 10**8)
-    for row, group in zip((8, 12, 16, 20), (*np.divmod(high, 10**4), *np.divmod(low, 10**4))):
-        np.take(_DIGITS4, group, axis=1, out=text[row : row + 4])
-    significant = 17 - np.argmax(text[23:6:-1] != 48, axis=0).astype(np.uint8)
+    rest = digits - top * 10**16
+    high = rest // 10**8
+    low = rest - high * 10**8
+    for row, group in zip((8, 16), (high, low)):
+        quotient = group // 10**4
+        np.take(_DIGITS4, quotient, axis=1, out=text[row : row + 4])
+        np.take(_DIGITS4, group - quotient * 10**4, axis=1, out=text[row + 4 : row + 8])
+    significant = np.max((text[7:24] != 48) * np.arange(1, 18, dtype=np.uint8)[:, None], axis=0)
     fixed = (e >= -4) & (e < 17)
     zeros = np.where(fixed & (e < 0), -e, 0).astype(np.uint8)  # of 0.000ddd, the first included
     before = np.where(fixed, np.maximum(e + 1, 1), 1).astype(np.uint8)  # digits before the point
@@ -276,10 +280,11 @@ def _csv_text(block: np.ndarray) -> str:
     body = buf[1:23]
     body[:18] = (text[7:25] * (j[:18] < before) + text[6:24] * (j[:18] > before)
                  + (j[:18] == before) * np.uint8(46))  # the digits with '.' after `before` of them
+    small = zeros > 0
+    body[2:] *= ~small
     for z in range(1, 5):  # 0.ddd to 0.000ddd
-        small = np.flatnonzero(zeros == z)
-        body[0, small] = 48
-        body[2:, small] = text[8 - z : 28 - z, small]
+        body[2:] += text[8 - z : 28 - z] * (zeros == z)
+    body[0] = np.where(small, 48, body[0])
     body *= j < width
     exponent = ~fixed
     buf[23] = exponent * np.uint8(101)  # 'e'
@@ -293,8 +298,7 @@ def _csv_text(block: np.ndarray) -> str:
     separators = buf[28].reshape(block.shape)
     separators[:] = 44  # ','
     separators[:, -1] = 10  # '\n'
-    cells = np.ascontiguousarray(buf.T)  # one row of bytes per cell, in output order
-    return cells[cells != 0].tobytes().decode("ascii")
+    return buf.T.tobytes().translate(None, b"\0").decode("ascii")  # cell by cell, no zero bytes
 
 
 def _emit_json(out: str | None, obj) -> None:

@@ -28,8 +28,10 @@ positional partner sites, so a clean block transfer produces the identity map.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import lru_cache, reduce
+from types import MappingProxyType
 
 import numpy as np
 
@@ -49,12 +51,17 @@ class DynamicalMap:
 
     `elements` and `kraus` are held as read-only views; `kraus` is the tensor
     T[P, i, x] the map is the Gram matrix of, None only for a map given by its
-    elements alone.
+    elements alone.  `deviations`, also None for such a map, holds what the
+    Gram construction checked against VALIDATION_TOL: the largest violation of
+    trace preservation, the diagonal bounds and the total sum, and
+    `gram_choi_bound`, which bounds -lambda_min of the Choi matrix and the
+    hermiticity pairing.
     """
 
     d: int
     elements: np.ndarray
     kraus: np.ndarray | None = None
+    deviations: Mapping[str, float] | None = None
 
     def __post_init__(self):
         el = np.ascontiguousarray(np.asarray(self.elements, dtype=complex)).view()
@@ -186,7 +193,7 @@ def _gram_choi_bound(amplitudes: np.ndarray) -> float:
     which is this bound.
     """
     mu = amplitudes.shape[-1] * np.finfo(float).eps  # 2k u, u = eps / 2 the unit roundoff
-    return 2.0 * np.sqrt(2.0) * mu / (1.0 - mu) * float(np.linalg.norm(amplitudes)) ** 2
+    return float(2.0 * np.sqrt(2.0) * mu / (1.0 - mu) * np.linalg.norm(amplitudes) ** 2)
 
 
 def _gram_map(amplitudes: np.ndarray, what: str) -> DynamicalMap:
@@ -195,11 +202,14 @@ def _gram_map(amplitudes: np.ndarray, what: str) -> DynamicalMap:
     Trace preservation, the diagonal bounds and the total sum are read from the
     elements.  Choi positivity and the hermiticity pairing hold exactly before
     rounding, and _gram_choi_bound(T) covers both, so nothing is diagonalised.
+    The values checked are kept as the map's `deviations`.
     """
     m = DynamicalMap(amplitudes.shape[0], _stored_gram(amplitudes), amplitudes)
-    worst = max(*_element_deviations(m).values(), _gram_choi_bound(amplitudes))
+    deviations = {**_element_deviations(m), "gram_choi_bound": _gram_choi_bound(amplitudes)}
+    worst = max(deviations.values())
     if worst > VALIDATION_TOL:
         raise MapConstructionError(f"{what} produced an unphysical map (violation {worst:.3e})")
+    object.__setattr__(m, "deviations", MappingProxyType(deviations))  # frozen, as in __post_init__
     return m
 
 

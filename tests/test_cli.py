@@ -178,6 +178,39 @@ def test_csv_rows_match_fmt_on_edge_floats():
     _assert_csv_rows_match_fmt([cells.ravel()])  # the same floats, one per row
 
 
+def _with_digits(e: int, s: int) -> float:
+    """A float whose '%.17g' text has exactly s significant digits, the first at 10**e."""
+    lo, count = 10 ** (s - 1), 9 * 10 ** (s - 1)
+    start = int("27182818284590452"[:s]) - lo
+    for k in range(count):
+        m = lo + (start + k) % count
+        x = float(f"{m}e{e - s + 1}")
+        if m % 10 and ("%.17g" % x).split("e")[0].replace(".", "").lstrip("0") == str(m):
+            return x
+    raise AssertionError(f"no float has {s} significant digits from 10**{e}")
+
+
+def test_csv_rows_match_fmt_on_every_leading_zero_and_digit_count():
+    """0.d... to 0.000d... with 1 to 17 significant digits and either sign, mixed within rows.
+
+    Row r holds 1 + r % 17 digits, with the sign of r // 17, at four different
+    leading-zero counts (e = -1 ... -4), next to exponent-form cells (e = -5
+    and 17) and a fixed-form cell with e = r % 17.
+    """
+    rows = []
+    for r in range(34):
+        s, sign = 1 + r % 17, (-1.0) ** (r // 17)
+        row = [sign * _with_digits(-1 - (r + c) % 4, s) for c in range(4)]
+        for c, x in enumerate(row):
+            zeros, text = 1 + (r + c) % 4, "%.17g" % abs(x)  # 0.000ddd has four zeros
+            assert text.startswith("0." + "0" * (zeros - 1)) and text[zeros + 1] != "0"
+            assert len(text) == zeros + 1 + s
+        row += [-sign * _with_digits(-5, 2 + r % 16), sign * _with_digits(17, s),
+                -sign * _with_digits(r % 17, 17)]
+        rows.append(row)
+    _assert_csv_rows_match_fmt(list(np.array(rows).T))
+
+
 @pytest.mark.parametrize("name", ["weak15-default", "eng18-50000"])
 def test_csv_rows_match_fmt_on_scan_columns(name):
     """Every column of the weak15 default-grid scan and of the eng18 50,000-row scan."""

@@ -936,6 +936,29 @@ def test_gram_choi_bound_is_compared_with_the_tolerance(monkeypatch):
             map_from_evolution(_anisotropic(8, 3, delta), 3, 6.1)
 
 
+def test_gram_built_maps_keep_the_deviations_they_were_checked_with(monkeypatch):
+    """_gram_map keeps its checked values on the map, read once; an elements-only map has none."""
+    calls = []
+    element_deviations = dynmap._element_deviations
+    monkeypatch.setattr(dynmap, "_element_deviations", lambda m: calls.append(m) or element_deviations(m))
+    identity = identity_map(4)
+    assert dict(identity.deviations) == {
+        "trace_preservation": 0.0,
+        "diagonal_bounds": 0.0,
+        "total_sum": 0.0,
+        "gram_choi_bound": dynmap._gram_choi_bound(np.eye(4)[:, :, None]),
+    }
+    eng18 = SAMPLED_MAPS["eng18-tau"]()
+    assert calls == [identity, eng18]
+    assert dict(eng18.deviations) == {
+        **element_deviations(eng18), "gram_choi_bound": dynmap._gram_choi_bound(eng18.kraus)}
+    assert all(0.0 <= value <= dynmap.VALIDATION_TOL for value in eng18.deviations.values())
+    assert eng18.deviations["gram_choi_bound"] > 0.0
+    with pytest.raises(TypeError):
+        eng18.deviations["total_sum"] = 0.0
+    assert DynamicalMap(d=2, elements=np.eye(4)).deviations is None
+
+
 def test_array_holding_dataclasses_compare_and_hash_by_identity():
     """Frozen dataclasses with ndarray fields use identity equality, so == and hash() work."""
     factories = [
